@@ -580,12 +580,12 @@ impl<S: Scalar> BlockedTri<S> {
             // Identity fast path: solve straight into the caller's buffer
             // and skip the scatter pass (and its extra n-vector of traffic)
             // entirely.
-            self.walk_blocks(work, x_out)?;
+            self.walk_blocks::<1>(work, x_out)?;
             let t0 = SolveTrace::start();
             SolveTrace::finish(t0, EventKind::Scatter, 0, 0, 0);
             return Ok(());
         }
-        self.walk_blocks(work, x)?;
+        self.walk_blocks::<1>(work, x)?;
         // Scatter back to the original ordering.
         let t0 = SolveTrace::start();
         for (new, &old) in self.perm.forward().iter().enumerate() {
@@ -595,15 +595,18 @@ impl<S: Scalar> BlockedTri<S> {
         Ok(())
     }
 
-    /// The block walk shared by [`BlockedTri::solve_into`]'s permuted and
-    /// identity paths: `work` holds the gathered right-hand side (mutated by
-    /// square blocks), `x` receives the solution in reordered space.
-    fn walk_blocks(&self, work: &mut [S], x: &mut [S]) -> Result<(), MatrixError> {
+    /// The block walk shared by single solves and multi-RHS panels: `work`
+    /// holds the gathered right-hand side (mutated by square blocks) and
+    /// `x` receives the solution in reordered space, both as `W`-wide
+    /// row-interleaved panels (`W = 1` for a single column), so block row
+    /// range `r` is the sub-slice `r.start·W..r.end·W`.
+    fn walk_blocks<const W: usize>(&self, work: &mut [S], x: &mut [S]) -> Result<(), MatrixError> {
+        let span = |r: &Range<usize>| r.start * W..r.end * W;
         for (bi, block) in self.blocks.iter().enumerate() {
             let t0 = SolveTrace::start();
             match &block.data {
                 BlockData::Tri { solver, .. } => {
-                    solver.solve_into(&work[block.rows.clone()], &mut x[block.rows.clone()])?;
+                    solver.solve_panel::<W>(&work[span(&block.rows)], &mut x[span(&block.rows)])?;
                     SolveTrace::finish(
                         t0,
                         EventKind::BlockTri,
@@ -613,7 +616,7 @@ impl<S: Scalar> BlockedTri<S> {
                     );
                 }
                 BlockData::Square(sq) => {
-                    sq.apply(&x[block.cols.clone()], &mut work[block.rows.clone()])?;
+                    sq.apply_panel::<W>(&x[span(&block.cols)], &mut work[span(&block.rows)])?;
                     SolveTrace::finish(
                         t0,
                         EventKind::BlockSquare,
@@ -657,11 +660,8 @@ impl<S: Scalar> BlockedTri<S> {
         Ok((self.perm.scatter(&x), br))
     }
 
-    /// Fused multi-right-hand-side solve: the block list is walked **once**,
-    /// each block processing every column before the next block starts —
-    /// so block data is loaded once per solve batch instead of once per
-    /// column (the cache behaviour that makes the paper's multi-RHS
-    /// amortisation argument work).
+    /// Multi-right-hand-side solve `L X = B`, one pass over the matrix per
+    /// panel of up to 8 columns (see [`BlockedTri::solve_multi_ws`]).
     pub fn solve_multi(
         &self,
         b: &recblock_kernels::sptrsm::MultiVector<S>,
@@ -684,11 +684,21 @@ impl<S: Scalar> BlockedTri<S> {
         self.solve_multi_ws(b, out, &mut ws)
     }
 
-    /// As [`BlockedTri::solve_multi_into`] with a caller-held
-    /// [`SolveWorkspace`]: after the workspace has warmed up to the batch
-    /// shape, repeated batches run with zero heap allocations. Both regimes
-    /// drive every column through the same per-block `solve_into`/`apply`
-    /// calls, so the fused walk is bit-identical to per-column solves.
+    /// The multi-RHS path, with a caller-held [`SolveWorkspace`].
+    ///
+    /// The `k` columns of `b` are split greedily into panels of 8, 4, 2
+    /// and 1 ([`recblock_kernels::exec::panels`]). Each panel is
+    /// gather-transposed once into the workspace as a row-interleaved
+    /// `n × W` block, the block list is walked once with every kernel
+    /// running its `W`-wide form — each nonzero and column index is loaded
+    /// once per panel, not once per column — and the solution is
+    /// transpose-scattered back into `out`. Every column is bit-identical
+    /// to [`BlockedTri::solve_into`] on it. A plan with a sync-free block
+    /// solves column by column instead: the CSC sync-free kernel has no
+    /// deterministic multi-column form.
+    ///
+    /// The workspace only grows, so once it has held the widest panel,
+    /// batches of any width run with zero heap allocations.
     pub fn solve_multi_ws(
         &self,
         b: &recblock_kernels::sptrsm::MultiVector<S>,
@@ -709,63 +719,45 @@ impl<S: Scalar> BlockedTri<S> {
                 actual: out.n() * out.k(),
             });
         }
-        let n = self.n;
-        let k = b.k();
-        // Strategy: walking the block list once with all columns amortises
-        // the *matrix* traffic; iterating whole solves keeps the *vector*
-        // working set (one column) hot. Pick by which is bigger — matrix
-        // bytes versus the k-column batch.
-        let matrix_bytes = self.nnz * (std::mem::size_of::<usize>() + S::BYTES);
-        let batch_bytes = 2 * k * n * S::BYTES;
-        if matrix_bytes < batch_bytes {
-            for j in 0..k {
+        let syncfree = self
+            .blocks
+            .iter()
+            .any(|blk| matches!(blk.data, BlockData::Tri { solver: TriSolver::SyncFree(_), .. }));
+        if syncfree {
+            for j in 0..b.k() {
                 self.solve_into(b.col(j), out.col_mut(j), ws)?;
             }
             return Ok(());
         }
-        // Fused walk over a column-major `n × k` workspace: column `j`
-        // occupies `j*n..(j+1)*n` of both buffers.
-        let (work, x) = ws.wide_pair(n * k);
-        for j in 0..k {
-            let bj = b.col(j);
-            let wj = &mut work[j * n..(j + 1) * n];
-            if self.ident {
-                wj.copy_from_slice(bj);
-            } else {
-                for (new, &old) in self.perm.forward().iter().enumerate() {
-                    wj[new] = bj[old];
-                }
+        for cols in recblock_kernels::exec::panels(b.k()) {
+            match cols.len() {
+                8 => self.solve_panel::<8>(b, out, cols, ws)?,
+                4 => self.solve_panel::<4>(b, out, cols, ws)?,
+                2 => self.solve_panel::<2>(b, out, cols, ws)?,
+                _ => self.solve_into(b.col(cols.start), out.col_mut(cols.start), ws)?,
             }
         }
-        for block in &self.blocks {
-            match &block.data {
-                BlockData::Tri { solver, .. } => {
-                    for j in 0..k {
-                        let wj = &work[j * n..(j + 1) * n];
-                        let xj = &mut x[j * n..(j + 1) * n];
-                        solver.solve_into(&wj[block.rows.clone()], &mut xj[block.rows.clone()])?;
-                    }
-                }
-                BlockData::Square(sq) => {
-                    for j in 0..k {
-                        let xj = &x[j * n..(j + 1) * n];
-                        let wj = &mut work[j * n..(j + 1) * n];
-                        sq.apply(&xj[block.cols.clone()], &mut wj[block.rows.clone()])?;
-                    }
-                }
-            }
-        }
-        for j in 0..k {
-            let xj = &x[j * n..(j + 1) * n];
-            let oj = out.col_mut(j);
-            if self.ident {
-                oj.copy_from_slice(xj);
-            } else {
-                for (new, &old) in self.perm.forward().iter().enumerate() {
-                    oj[old] = xj[new];
-                }
-            }
-        }
+        Ok(())
+    }
+
+    /// One `W`-wide panel of [`BlockedTri::solve_multi_ws`]: gather-transpose
+    /// columns `cols` of `b`, walk the blocks, transpose-scatter into `out`.
+    fn solve_panel<const W: usize>(
+        &self,
+        b: &recblock_kernels::sptrsm::MultiVector<S>,
+        out: &mut recblock_kernels::sptrsm::MultiVector<S>,
+        cols: Range<usize>,
+        ws: &mut SolveWorkspace<S>,
+    ) -> Result<(), MatrixError> {
+        let perm = (!self.ident).then(|| self.perm.forward());
+        let (work, x) = ws.pair(self.n * W);
+        let t0 = SolveTrace::start();
+        b.gather_panel::<W>(cols.clone(), perm, work);
+        SolveTrace::finish(t0, EventKind::Gather, 0, self.n as u32, 0);
+        self.walk_blocks::<W>(work, x)?;
+        let t0 = SolveTrace::start();
+        out.scatter_panel::<W>(cols, perm, x);
+        SolveTrace::finish(t0, EventKind::Scatter, 0, self.n as u32, 0);
         Ok(())
     }
 

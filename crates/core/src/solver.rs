@@ -88,7 +88,7 @@ impl<S: Scalar> RecBlockSolver<S> {
 
     /// Solve for several right-hand sides (columns of `B`, column-major),
     /// reusing the preprocessing — the multi-RHS scenario of Table 5. The
-    /// block list is walked once with every column processed per block
+    /// block list is walked once per panel of up to 8 columns
     /// ([`BlockedTri::solve_multi`]).
     pub fn solve_multi(
         &self,

@@ -198,10 +198,17 @@ impl<S: Scalar> SqSolver<S> {
     /// the GPU cost model; on the CPU engine both execute the same planned
     /// schedule.
     pub fn apply(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
+        self.apply_panel::<1>(x, y)
+    }
+
+    /// [`SqSolver::apply`] on `W`-wide row-interleaved panels (`x` holds
+    /// `ncols·W` entries, `y` holds `nrows·W`): one pass over the block for
+    /// `W` columns, each bit-identical to [`SqSolver::apply`] on it.
+    pub fn apply_panel<const W: usize>(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
         let pool = ExecPool::global();
         match &self.storage {
-            SqStorage::Csr(a) => spmv::csr_update_planned(a, &self.plan, x, y, pool),
-            SqStorage::Dcsr(a) => spmv::dcsr_update_planned(a, &self.plan, x, y, pool),
+            SqStorage::Csr(a) => spmv::csr_update_panel::<S, W>(a, &self.plan, x, y, pool),
+            SqStorage::Dcsr(a) => spmv::dcsr_update_panel::<S, W>(a, &self.plan, x, y, pool),
         }
     }
 

@@ -5,7 +5,7 @@ use crate::adaptive::TriKernel;
 use recblock_gpu_sim::{CostParams, DeviceSpec, KernelTime, TriProfile};
 use recblock_kernels::exec::{ExecPool, TuneParams};
 use recblock_kernels::sptrsv::{
-    parallel_diag, parallel_diag_into, CusparseLikeSolver, LevelSetSolver, SyncFreeSolver,
+    parallel_diag, parallel_diag_panel, CusparseLikeSolver, LevelSetSolver, SyncFreeSolver,
 };
 use recblock_kernels::trace::{EventKind, SolveTrace};
 use recblock_matrix::levelset::LevelSets;
@@ -187,9 +187,21 @@ impl<S: Scalar> TriSolver<S> {
     /// copies (callers wanting strict zero-allocation solves should select
     /// away from it — see `BlockedOptions`).
     pub fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        self.solve_panel::<1>(b, x)
+    }
+
+    /// Solve `W` right-hand sides held as row-interleaved panels (`n·W`
+    /// entries, row `i` of column `j` at `i·W + j`) in one pass over the
+    /// block; each column is bit-identical to [`TriSolver::solve_into`] on
+    /// it. The sync-free variant has no deterministic multi-column form:
+    /// it solves single columns only, and a wider panel fails its
+    /// right-hand-side length check.
+    pub fn solve_panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        let pool = ExecPool::global();
         match self {
-            TriSolver::Diag(l) => parallel_diag_into(l, b, x, ExecPool::global()),
-            TriSolver::LevelSet(s) => s.solve_into(b, x),
+            TriSolver::Diag(l) => parallel_diag_panel::<S, W>(l, b, x, pool),
+            TriSolver::LevelSet(s) => s.solve_panel::<W>(b, x, pool),
+            TriSolver::Cusparse(s) => s.solve_panel::<W>(b, x, pool),
             TriSolver::SyncFree(s) => {
                 let t0 = SolveTrace::start();
                 let v = s.solve(b)?;
@@ -203,44 +215,6 @@ impl<S: Scalar> TriSolver<S> {
                 x.copy_from_slice(&v);
                 SolveTrace::finish(t0, EventKind::SyncFreeKernel, 0, v.len() as u32, 0);
                 Ok(())
-            }
-            TriSolver::Cusparse(s) => s.solve_into(b, x),
-        }
-    }
-
-    /// Solve `L X = B` for several right-hand sides. The level-set variant
-    /// fuses the columns through one shared schedule; the others iterate
-    /// (their per-solve state is not shareable across columns).
-    pub fn solve_multi(
-        &self,
-        b: &recblock_kernels::sptrsm::MultiVector<S>,
-    ) -> Result<recblock_kernels::sptrsm::MultiVector<S>, MatrixError> {
-        use rayon::prelude::*;
-        use recblock_kernels::sptrsm::{sptrsm_levelset, MultiVector};
-        match self {
-            TriSolver::Diag(l) => {
-                let n = l.nrows();
-                let mut x = MultiVector::zeros(n, b.k());
-                let d = l.vals();
-                x.as_mut_slice()
-                    .par_chunks_mut(n.max(1))
-                    .zip(b.as_slice().par_chunks(n.max(1)))
-                    .for_each(|(xc, bc)| {
-                        for i in 0..n {
-                            xc[i] = bc[i] / d[i];
-                        }
-                    });
-                Ok(x)
-            }
-            TriSolver::LevelSet(s) => sptrsm_levelset(s.matrix(), s.levels(), b),
-            TriSolver::SyncFree(s) => s.solve_multi(b),
-            TriSolver::Cusparse(s) => {
-                let mut x = MultiVector::zeros(b.n(), b.k());
-                for j in 0..b.k() {
-                    let xj = s.solve(b.col(j))?;
-                    x.col_mut(j).copy_from_slice(&xj);
-                }
-                Ok(x)
             }
         }
     }

@@ -85,17 +85,27 @@ fn blocked_solve_into_does_not_allocate_in_steady_state() {
     });
     assert_eq!(allocs, 0, "BlockedTri::solve_into allocated in steady state");
 
-    // Multi-RHS batches through a warmed workspace are allocation-free too.
-    let k = 4;
-    let data: Vec<f64> = (0..n * k).map(|i| ((i % 37) as f64) - 18.0).collect();
-    let bm = MultiVector::from_columns(n, k, data).unwrap();
-    let mut xm = MultiVector::zeros(n, k);
-    s.solve_multi_ws(&bm, &mut xm, &mut ws).unwrap(); // warm-up
+    // Multi-RHS batches through a warmed workspace are allocation-free too:
+    // one warm-up at the widest batch sizes the workspace, after which
+    // batches of any width — here 3 (panels of 2 and 1) alternating with
+    // 8 (one 8-wide panel) — reuse it.
+    let batch = |k: usize| {
+        let data: Vec<f64> = (0..n * k).map(|i| ((i % 37) as f64) - 18.0).collect();
+        (MultiVector::from_columns(n, k, data).unwrap(), MultiVector::zeros(n, k))
+    };
+    let (b8, mut x8) = batch(8);
+    let (b3, mut x3) = batch(3);
+    s.solve_multi_ws(&b8, &mut x8, &mut ws).unwrap(); // warm-up
 
     let allocs = allocations_during(|| {
-        for _ in 0..5 {
-            s.solve_multi_ws(&bm, &mut xm, &mut ws).unwrap();
+        for _ in 0..3 {
+            s.solve_multi_ws(&b3, &mut x3, &mut ws).unwrap();
+            s.solve_multi_ws(&b8, &mut x8, &mut ws).unwrap();
         }
     });
     assert_eq!(allocs, 0, "BlockedTri::solve_multi_ws allocated in steady state");
+    for j in 0..3 {
+        s.solve_into(b3.col(j), &mut x, &mut ws).unwrap();
+        assert_eq!(x3.col(j), &x[..], "column {j} of the 3-wide batch");
+    }
 }

@@ -20,6 +20,13 @@
 //! * [`SpmvPlan`] — the same nnz-balanced chunking for SpMV blocks;
 //! * [`SolveWorkspace`] — reusable gather/scatter buffers for the blocked
 //!   executor and multi-RHS batches.
+//!
+//! Every executor here runs on a row-interleaved *panel* of `W` right-hand
+//! sides (`x[i·W + j]` is row `i` of column `j`, `W` ∈ {1, 2, 4, 8}; see
+//! [`panels`]):
+//! each nonzero and column index is loaded once per panel instead of once
+//! per column, and every column stays bit-identical to a single-column
+//! solve of it. `W = 1` is the single-column path.
 
 use crate::trace::{EventKind, SolveTrace};
 use recblock_matrix::levelset::LevelSets;
@@ -240,15 +247,144 @@ const GATHER_PREFETCH: usize = 8;
 /// ahead past rows whose `x` entries are still being produced is harmless.
 pub(crate) const ROW_PREFETCH_DIST: usize = 4;
 
-/// Prefetch the leading `x`-gather targets of the row described by `cols`,
-/// plus the index/value streams themselves.
+/// Prefetch the leading `x`-gather targets of the row described by `cols`
+/// in a `W`-wide panel, plus the index/value streams themselves.
 #[inline(always)]
-pub(crate) fn prefetch_row<S>(cols: &[usize], vals: &[S], x: *const S) {
+pub(crate) fn prefetch_row<S, const W: usize>(cols: &[usize], vals: &[S], x: *const S) {
     prefetch_read(cols.as_ptr());
     prefetch_read(vals.as_ptr());
     for &j in cols.iter().take(GATHER_PREFETCH) {
-        prefetch_read(x.wrapping_add(j));
+        prefetch_read(x.wrapping_add(j * W));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-RHS panels
+// ---------------------------------------------------------------------------
+
+/// Panel widths the executors are compiled for, widest first. A batch of
+/// `k` columns is split greedily into panels of these widths ([`panels`]).
+const PANEL_WIDTHS: [usize; 4] = [8, 4, 2, 1];
+
+/// Split `k` columns greedily into panels of 8, 4, 2 and 1 columns:
+/// `panels(11)` yields `0..8, 8..10, 10..11`.
+pub fn panels(k: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let w = *PANEL_WIDTHS.iter().find(|&&w| w <= k - start)?;
+        start += w;
+        Some(start - w..start)
+    })
+}
+
+/// [`row_dot`] over a `W`-wide row-interleaved panel: entry `j` of the
+/// result is `Σ vals[k]·x[cols[k]·W + j]`.
+///
+/// `W = 1` is [`row_dot_ptr`] itself (AVX2 lowering included). Wider panels
+/// run [`row_dot_with`]'s reduction once per column, side by side: the same
+/// short-row sequential branch, the same four accumulator chains, the same
+/// `((a0+a1)+(a2+a3))+tail` combine, multiply then add with no FMA. Column
+/// `j` is therefore bit-identical to `row_dot` on column `j` alone, while
+/// each nonzero and column index is loaded once for all `W` columns and the
+/// `W` gathered entries of a panel row are contiguous.
+///
+/// # Safety
+/// `x` must cover `W·(c + 1)` entries for every column index `c` in `cols`,
+/// and none of the entries read may be written concurrently.
+#[inline(always)]
+pub(crate) unsafe fn row_dot_panel<S: Scalar, const W: usize>(
+    cols: &[usize],
+    vals: &[S],
+    x: *const S,
+) -> [S; W] {
+    if W == 1 {
+        let mut r = [S::ZERO; W];
+        // SAFETY: with W = 1 this function's contract is row_dot_ptr's.
+        r[0] = unsafe { row_dot_ptr(cols, vals, x) };
+        return r;
+    }
+    // Column index `c`'s panel row: W contiguous entries, one per column.
+    // SAFETY: the caller guarantees `x` covers W·(c + 1) entries for every
+    // `c` in `cols` and that none of them is being written.
+    let xrow = |c: usize| unsafe { x.add(c * W).cast::<[S; W]>().read() };
+    let axpy = |acc: &mut [S; W], v: S, c: usize| {
+        for (a, xv) in acc.iter_mut().zip(xrow(c)) {
+            *a += v * xv;
+        }
+    };
+    let n = cols.len();
+    if n < LANES {
+        let mut acc = [S::ZERO; W];
+        for (&c, &v) in cols.iter().zip(vals) {
+            axpy(&mut acc, v, c);
+        }
+        return acc;
+    }
+    let mut a = [[S::ZERO; W]; LANES];
+    let body = n - n % LANES;
+    for (cs, vs) in cols[..body].chunks_exact(LANES).zip(vals[..body].chunks_exact(LANES)) {
+        for (lane, acc) in a.iter_mut().enumerate() {
+            axpy(acc, vs[lane], cs[lane]);
+        }
+    }
+    let mut tail = [S::ZERO; W];
+    for (&c, &v) in cols[body..].iter().zip(&vals[body..]) {
+        axpy(&mut tail, v, c);
+    }
+    std::array::from_fn(|j| ((a[0][j] + a[1][j]) + (a[2][j] + a[3][j])) + tail[j])
+}
+
+/// Forward-substitute row `i` of every column of a `W`-wide panel:
+/// `x[i·W + j] = (b[i·W + j] − Σ_{c<i} l_ic·x[c·W + j]) / l_ii`. Requires
+/// the diagonal stored last in the row (the suite-wide storage invariant).
+///
+/// # Safety
+/// As [`row_dot_panel`] for row `i`'s off-diagonal columns; `b` and `x`
+/// must cover `W·(i + 1)` entries, and no other thread may access
+/// `x[i·W..(i+1)·W]` concurrently.
+#[inline(always)]
+unsafe fn solve_row_panel<S: Scalar, const W: usize>(l: &Csr<S>, b: &[S], x: *mut S, i: usize) {
+    let (cols, vals) = l.row(i);
+    let last = cols.len() - 1;
+    debug_assert_eq!(cols[last], i, "diagonal must be last in row");
+    // SAFETY: the caller's contract covers the off-diagonal reads.
+    let dot = unsafe { row_dot_panel::<S, W>(&cols[..last], &vals[..last], x) };
+    let d = vals[last];
+    for (j, dj) in dot.into_iter().enumerate() {
+        // SAFETY: the caller guarantees `x` covers W·(i + 1) entries and
+        // that this row's panel entries have no other accessor.
+        unsafe { *x.add(i * W + j) = (b[i * W + j] - dj) / d };
+    }
+}
+
+/// Solve the rows of `span` in order, prefetching [`ROW_PREFETCH_DIST`] rows
+/// ahead — the inner walk shared by serial runs, parallel chunks and
+/// point-to-point tasks.
+///
+/// # Safety
+/// As [`solve_row_panel`] for every row of `span`, and every row read must
+/// be finished: earlier in `span`, or published before the walk started.
+#[inline(always)]
+unsafe fn solve_span<S: Scalar, const W: usize>(l: &Csr<S>, b: &[S], x: *mut S, span: &[u32]) {
+    for (k, &i) in span.iter().enumerate() {
+        if let Some(&nx) = span.get(k + ROW_PREFETCH_DIST) {
+            let (ncols, nvals) = l.row(nx as usize);
+            prefetch_row::<S, W>(ncols, nvals, x);
+        }
+        // SAFETY: the caller's contract holds for every row of `span`.
+        unsafe { solve_row_panel::<S, W>(l, b, x, i as usize) };
+    }
+}
+
+/// The shape check every schedule walker makes before going unsafe: `l` is
+/// the `n × n` matrix the schedule was planned for, and `b`/`x` are
+/// `W`-wide panels over its rows. Together with the CSR invariant
+/// (column indices `< ncols`) this bounds every raw-pointer access.
+fn assert_panel<S: Scalar, const W: usize>(l: &Csr<S>, n: usize, b: &[S], x: &[S]) {
+    assert!(
+        l.nrows() == n && l.ncols() == n && b.len() == n * W && x.len() == n * W,
+        "schedule executed on a mismatched matrix or panel"
+    );
 }
 
 /// Explicit AVX2 lowering of the [`row_dot_with`] reduction.
@@ -380,30 +516,6 @@ pub(crate) mod simd {
             ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
         }
     }
-}
-
-/// Forward-substitute one row of `L x = b` given all its dependencies
-/// solved: `x_i = (b_i − Σ_{j<i} l_ij·x_j) / l_ii`. Requires the diagonal
-/// stored last in the row (the suite-wide storage invariant).
-#[inline]
-pub fn solve_row<S: Scalar>(l: &Csr<S>, b: &[S], x: &[S], i: usize) -> S {
-    let (cols, vals) = l.row(i);
-    let last = cols.len() - 1;
-    debug_assert_eq!(cols[last], i, "diagonal must be last in row");
-    (b[i] - row_dot(&cols[..last], &vals[..last], x)) / vals[last]
-}
-
-/// As [`solve_row`] with `x` behind a raw pointer (see [`row_dot_ptr`]).
-///
-/// # Safety
-/// As [`row_dot_ptr`]: `x` must cover every column index of row `i`, and no
-/// entry this row reads may be written concurrently.
-#[inline]
-unsafe fn solve_row_ptr<S: Scalar>(l: &Csr<S>, b: &[S], x: *const S, i: usize) -> S {
-    let (cols, vals) = l.row(i);
-    let last = cols.len() - 1;
-    debug_assert_eq!(cols[last], i, "diagonal must be last in row");
-    (b[i] - unsafe { row_dot_ptr(&cols[..last], &vals[..last], x) }) / vals[last]
 }
 
 /// `Copy` wrapper that lets a raw pointer cross a closure that must be
@@ -841,30 +953,33 @@ impl LevelSchedule {
         self.runs.iter().filter(|r| matches!(r, Run::Parallel { .. })).count()
     }
 
-    /// Execute the schedule: forward-substitute `x` from `b` over `l`.
+    /// Execute the schedule: forward-substitute `x` from `b` over `l`, the
+    /// matrix the schedule was planned for, on a `W`-wide row-interleaved
+    /// panel — `b` and `x` hold `l.nrows()·W` entries, row `i` of column
+    /// `j` at `i·W + j`. `W = 1` is the single-column solve, and each
+    /// column of a wider panel is bit-identical to it.
     ///
-    /// `l` must be the matrix the schedule was planned for (same shape and
-    /// sparsity); `b` and `x` must both have `l.nrows()` entries. Checked by
-    /// the callers ([`crate::sptrsv::LevelSetSolver::solve_into`] and
-    /// friends), debug-asserted here.
-    pub fn solve_into<S: Scalar>(&self, l: &Csr<S>, b: &[S], x: &mut [S], pool: &ExecPool) {
-        debug_assert_eq!(l.nrows(), self.rows.len());
-        debug_assert_eq!(b.len(), x.len());
-        debug_assert_eq!(x.len(), self.rows.len());
+    /// # Panics
+    /// If `l` is not the `n × n` matrix the schedule was planned for or the
+    /// panels are not `n·W` long.
+    pub fn solve_panel<S: Scalar, const W: usize>(
+        &self,
+        l: &Csr<S>,
+        b: &[S],
+        x: &mut [S],
+        pool: &ExecPool,
+    ) {
+        assert_panel::<S, W>(l, self.rows.len(), b, x);
         let xp = SendPtr(x.as_mut_ptr());
         for (ri, run) in self.runs.iter().enumerate() {
             let t0 = SolveTrace::start();
             match run {
                 Run::Serial { rows } => {
                     let span = &self.rows[rows.start as usize..rows.end as usize];
-                    for (k, &i) in span.iter().enumerate() {
-                        if let Some(&nx) = span.get(k + ROW_PREFETCH_DIST) {
-                            let (ncols, nvals) = l.row(nx as usize);
-                            prefetch_row(ncols, nvals, x.as_ptr());
-                        }
-                        let i = i as usize;
-                        x[i] = solve_row(l, b, x, i);
-                    }
+                    // SAFETY: one thread walks the run in level order, so
+                    // every row it reads was solved earlier in the span or
+                    // in an earlier run; `assert_panel` bounds the accesses.
+                    unsafe { solve_span::<S, W>(l, b, xp.ptr(), span) };
                     SolveTrace::finish(
                         t0,
                         EventKind::SerialRun,
@@ -877,24 +992,13 @@ impl LevelSchedule {
                     let bounds = &self.chunk_ptr[chunks.start as usize..chunks.end as usize];
                     let nchunks = bounds.len() - 1;
                     pool.run(nchunks, &|c| {
-                        let lo = bounds[c] as usize;
-                        let hi = bounds[c + 1] as usize;
-                        let span = &self.rows[lo..hi];
-                        for (k, &i) in span.iter().enumerate() {
-                            if let Some(&nx) = span.get(k + ROW_PREFETCH_DIST) {
-                                let (ncols, nvals) = l.row(nx as usize);
-                                prefetch_row(ncols, nvals, xp.ptr() as *const S);
-                            }
-                            let i = i as usize;
-                            // SAFETY: rows of one level are mutually
-                            // independent and each appears in exactly one
-                            // chunk, so this write is the only access to
-                            // x[i] in the launch and every read touches
-                            // entries finished in earlier runs.
-                            unsafe {
-                                *xp.ptr().add(i) = solve_row_ptr(l, b, xp.ptr() as *const S, i)
-                            };
-                        }
+                        let span = &self.rows[bounds[c] as usize..bounds[c + 1] as usize];
+                        // SAFETY: rows of one level are mutually independent
+                        // and each appears in exactly one chunk, so each
+                        // chunk is the only writer of its rows' panel
+                        // entries and every read touches rows finished in
+                        // earlier runs.
+                        unsafe { solve_span::<S, W>(l, b, xp.ptr(), span) };
                     });
                     let nrows = bounds[nchunks] - bounds[0];
                     SolveTrace::finish(
@@ -1165,17 +1269,25 @@ impl TaskSchedule {
     }
 
     /// Execute the schedule: forward-substitute `x` from `b` over `l`,
-    /// which must be the matrix the schedule was compiled for.
+    /// which must be the matrix the schedule was compiled for, on a
+    /// `W`-wide row-interleaved panel (see [`LevelSchedule::solve_panel`]).
     ///
     /// Returns `false` — with `x` untouched in any meaningful way — when
     /// the solve could not be dispatched point-to-point: another solve is
     /// in flight on this same schedule, the pool cannot host all
     /// `nthreads` jobs concurrently, or another dispatch holds the pool.
     /// Callers keep their [`LevelSchedule`] and fall back to it.
-    pub fn solve_into<S: Scalar>(&self, l: &Csr<S>, b: &[S], x: &mut [S], pool: &ExecPool) -> bool {
-        debug_assert_eq!(l.nrows(), self.rows.len());
-        debug_assert_eq!(b.len(), x.len());
-        debug_assert_eq!(x.len(), self.rows.len());
+    ///
+    /// # Panics
+    /// As [`LevelSchedule::solve_panel`].
+    pub fn solve_panel<S: Scalar, const W: usize>(
+        &self,
+        l: &Csr<S>,
+        b: &[S],
+        x: &mut [S],
+        pool: &ExecPool,
+    ) -> bool {
+        assert_panel::<S, W>(l, self.rows.len(), b, x);
         if self.busy.swap(true, Ordering::Acquire) {
             return false;
         }
@@ -1205,19 +1317,12 @@ impl TaskSchedule {
                     }
                 }
                 let span = &self.rows[self.task_ptr[t] as usize..self.task_ptr[t + 1] as usize];
-                for (k, &i) in span.iter().enumerate() {
-                    if let Some(&nx) = span.get(k + ROW_PREFETCH_DIST) {
-                        let (ncols, nvals) = l.row(nx as usize);
-                        prefetch_row(ncols, nvals, xp.ptr() as *const S);
-                    }
-                    let i = i as usize;
-                    // SAFETY: each row belongs to exactly one task, so this
-                    // write is the only access to x[i] in the dispatch;
-                    // every read sees rows finished by this thread earlier
-                    // (program order) or published by the Release store on
-                    // a parent's flag that the Acquire spin above observed.
-                    unsafe { *xp.ptr().add(i) = solve_row_ptr(l, b, xp.ptr() as *const S, i) };
-                }
+                // SAFETY: each row belongs to exactly one task, so this task
+                // is the only writer of its rows' panel entries; every read
+                // sees rows finished by this thread earlier (program order)
+                // or published by the Release store on a parent's flag that
+                // the Acquire spin above observed.
+                unsafe { solve_span::<S, W>(l, b, xp.ptr(), span) };
                 self.finished[t].store(epoch, Ordering::Release);
             }
         });
@@ -1297,41 +1402,32 @@ impl SpmvPlan {
 // ---------------------------------------------------------------------------
 
 /// Reusable scratch buffers for the blocked executor: the gathered
-/// right-hand side and reordered solution for single solves, plus a pair of
-/// wide (`n × k`, column-major) buffers for fused multi-RHS batches. After
-/// warm-up on a given shape, repeated solves perform no allocation.
+/// right-hand side and the reordered solution, either one column (`n`
+/// entries) or one row-interleaved multi-RHS panel (`n·W` entries). The
+/// buffers only grow, so once they have held the widest panel a batch
+/// needs, every later solve and batch — of any width up to it — runs
+/// without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace<S> {
     work: Vec<S>,
     x: Vec<S>,
-    wide_work: Vec<S>,
-    wide_x: Vec<S>,
 }
 
 impl<S: Scalar> SolveWorkspace<S> {
     /// An empty workspace (buffers grow on first use and are kept).
     pub fn new() -> Self {
-        SolveWorkspace {
-            work: Vec::new(),
-            x: Vec::new(),
-            wide_work: Vec::new(),
-            wide_x: Vec::new(),
+        SolveWorkspace { work: Vec::new(), x: Vec::new() }
+    }
+
+    /// The buffer pair `(work, x)`, each `len` long: `n` for a single
+    /// solve, `n·W` for a `W`-wide panel. Contents are whatever the last
+    /// use left; the executor overwrites every entry before reading it.
+    pub fn pair(&mut self, len: usize) -> (&mut [S], &mut [S]) {
+        if self.work.len() < len {
+            self.work.resize(len, S::ZERO);
+            self.x.resize(len, S::ZERO);
         }
-    }
-
-    /// The single-solve buffer pair `(work, x)`, each resized to `n`.
-    pub fn pair(&mut self, n: usize) -> (&mut [S], &mut [S]) {
-        self.work.resize(n, S::ZERO);
-        self.x.resize(n, S::ZERO);
-        (&mut self.work, &mut self.x)
-    }
-
-    /// The multi-RHS buffer pair `(work, x)`, each resized to `len`
-    /// (typically `n·k`, column-major).
-    pub fn wide_pair(&mut self, len: usize) -> (&mut [S], &mut [S]) {
-        self.wide_work.resize(len, S::ZERO);
-        self.wide_x.resize(len, S::ZERO);
-        (&mut self.wide_work, &mut self.wide_x)
+        (&mut self.work[..len], &mut self.x[..len])
     }
 }
 
@@ -1357,6 +1453,48 @@ mod tests {
         let a = row_dot(&cols, &vals, &x);
         let b = unsafe { row_dot_ptr(&cols, &vals, x.as_ptr()) };
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
+    fn panels_split_greedily() {
+        let split = |k: usize| panels(k).collect::<Vec<_>>();
+        assert_eq!(split(0), Vec::<Range<usize>>::new());
+        assert_eq!(split(1), vec![0..1]);
+        assert_eq!(split(3), vec![0..2, 2..3]);
+        assert_eq!(split(8), vec![0..8]);
+        assert_eq!(split(11), vec![0..8, 8..10, 10..11]);
+        assert_eq!(split(23), vec![0..8, 8..16, 16..20, 20..22, 22..23]);
+    }
+
+    /// Every column of the `W`-wide panel dot must carry the bits of
+    /// `row_dot` on that column alone — short rows, the four-chain body,
+    /// the tail, and rows long enough for the AVX2 lowering.
+    fn check_panel_dot<S: Scalar, const W: usize>() {
+        let ncols = 64;
+        let x: Vec<S> =
+            (0..ncols * W).map(|e| S::from_f64(((e * 37 % 101) as f64 - 50.0) / 7.0)).collect();
+        for len in [0usize, 1, 3, 4, 5, 8, 11, 17, 40] {
+            let cols: Vec<usize> = (0..len).map(|k| (k * 13 + 5) % ncols).collect();
+            let vals: Vec<S> = (0..len).map(|k| S::from_f64(1.0 / (k as f64 + 1.5))).collect();
+            // SAFETY: every column index is < ncols and `x` holds ncols·W
+            // entries; nothing else touches `x`.
+            let panel = unsafe { row_dot_panel::<S, W>(&cols, &vals, x.as_ptr()) };
+            for (j, got) in panel.iter().enumerate() {
+                let column: Vec<S> = (0..ncols).map(|r| x[r * W + j]).collect();
+                let want = row_dot(&cols, &vals, &column);
+                assert_eq!(got.to_f64().to_bits(), want.to_f64().to_bits(), "len {len} col {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn panel_dot_is_bit_identical_per_column() {
+        check_panel_dot::<f64, 1>();
+        check_panel_dot::<f64, 2>();
+        check_panel_dot::<f64, 4>();
+        check_panel_dot::<f64, 8>();
+        check_panel_dot::<f32, 2>();
+        check_panel_dot::<f32, 8>();
     }
 
     #[test]
@@ -1475,7 +1613,7 @@ mod tests {
                 TuneParams { par_rows: 8, fuse_nnz: 64, chunk_nnz: 32, ..Default::default() };
             let sched = LevelSchedule::plan(&l, &levels, tune);
             let mut x = vec![0.0; n];
-            sched.solve_into(&l, &b, &mut x, &pool);
+            sched.solve_panel::<f64, 1>(&l, &b, &mut x, &pool);
             let reference = crate::sptrsv::serial_csr(&l, &b).unwrap();
             assert_eq!(x, reference, "engine must be bit-identical to the serial reference");
         }
@@ -1493,7 +1631,7 @@ mod tests {
         let pool = ExecPool::new(3);
         let b: Vec<f64> = (0..5000).map(|i| (i as f64 * 0.13).cos()).collect();
         let mut x = vec![0.0; 5000];
-        assert!(ts.solve_into(&l, &b, &mut x, &pool));
+        assert!(ts.solve_panel::<f64, 1>(&l, &b, &mut x, &pool));
         assert_eq!(x, crate::sptrsv::serial_csr(&l, &b).unwrap());
     }
 
@@ -1516,7 +1654,7 @@ mod tests {
             // Repeated solves reuse the epoch-stamped flags.
             for _ in 0..3 {
                 x.iter_mut().for_each(|v| *v = 0.0);
-                assert!(ts.solve_into(&l, &b, &mut x, &pool), "p2p dispatch accepted");
+                assert!(ts.solve_panel::<f64, 1>(&l, &b, &mut x, &pool), "p2p dispatch accepted");
                 let reference = crate::sptrsv::serial_csr(&l, &b).unwrap();
                 assert_eq!(x, reference, "p2p must be bit-identical to the serial reference");
             }
@@ -1552,7 +1690,7 @@ mod tests {
         let pool = ExecPool::new(1);
         let b = vec![1.0f64; 500];
         let mut x = vec![0.0f64; 500];
-        assert!(!ts.solve_into(&l, &b, &mut x, &pool));
+        assert!(!ts.solve_panel::<f64, 1>(&l, &b, &mut x, &pool));
     }
 
     #[test]
@@ -1573,7 +1711,7 @@ mod tests {
                     let pool = ExecPool::new(1);
                     let mut x = vec![0.0f64; n];
                     for _ in 0..20 {
-                        if ts.solve_into(&l, &b, &mut x, &pool) {
+                        if ts.solve_panel::<f64, 1>(&l, &b, &mut x, &pool) {
                             assert_eq!(x, reference);
                         }
                     }

@@ -18,12 +18,15 @@
 //! reduction makes invisible in the output.
 //!
 //! The blocked executor does not call these four directly on its hot path:
-//! it uses the preplanned, allocation-free forms [`csr_update_planned`] /
-//! [`dcsr_update_planned`], which split work at nnz-prefix-sum chunk
+//! it uses the preplanned, allocation-free forms [`csr_update_panel`] /
+//! [`dcsr_update_panel`] (single column: [`csr_update_planned`] /
+//! [`dcsr_update_planned`]), which split work at nnz-prefix-sum chunk
 //! boundaries computed once at preprocessing time ([`SpmvPlan`]) and write
 //! disjoint `y` sub-slices in place on the persistent [`ExecPool`].
 
-use crate::exec::{prefetch_row, row_dot, ExecPool, SendPtr, SpmvPlan, ROW_PREFETCH_DIST};
+use crate::exec::{
+    prefetch_row, row_dot, row_dot_panel, ExecPool, SendPtr, SpmvPlan, ROW_PREFETCH_DIST,
+};
 use crate::trace::{EventKind, SolveTrace};
 use rayon::prelude::*;
 use recblock_matrix::{Csr, Dcsr, MatrixError, Scalar};
@@ -140,7 +143,8 @@ pub fn vector_dcsr<S: Scalar>(a: &Dcsr<S>, x: &[S], y: &mut [S]) -> Result<(), M
 
 /// Preplanned `y ← y − A·x` over CSR: executes `plan`'s nnz-balanced chunks
 /// on `pool`, each chunk updating a disjoint row range of `y` in place —
-/// zero heap allocations, bit-identical to [`scalar_csr`].
+/// zero heap allocations, bit-identical to [`scalar_csr`]. The
+/// single-column form of [`csr_update_panel`].
 pub fn csr_update_planned<S: Scalar>(
     a: &Csr<S>,
     plan: &SpmvPlan,
@@ -148,7 +152,21 @@ pub fn csr_update_planned<S: Scalar>(
     y: &mut [S],
     pool: &ExecPool,
 ) -> Result<(), MatrixError> {
-    check_dims(a.nrows(), a.ncols(), x, y)?;
+    csr_update_panel::<S, 1>(a, plan, x, y, pool)
+}
+
+/// [`csr_update_planned`] on `W`-wide row-interleaved panels: `x` holds
+/// `ncols·W` entries and `y` holds `nrows·W`, row `i` of column `j` at
+/// `i·W + j`. Each nonzero is loaded once for all `W` columns, and each
+/// column is bit-identical to the single-column update of it.
+pub fn csr_update_panel<S: Scalar, const W: usize>(
+    a: &Csr<S>,
+    plan: &SpmvPlan,
+    x: &[S],
+    y: &mut [S],
+    pool: &ExecPool,
+) -> Result<(), MatrixError> {
+    check_dims(a.nrows() * W, a.ncols() * W, x, y)?;
     if plan.len() != a.nrows() {
         return Err(MatrixError::DimensionMismatch {
             what: "spmv plan rows",
@@ -157,46 +175,29 @@ pub fn csr_update_planned<S: Scalar>(
         });
     }
     let t0 = SolveTrace::start();
-    if plan.nchunks() <= 1 {
-        for (i, yi) in y.iter_mut().enumerate() {
-            if i + ROW_PREFETCH_DIST < a.nrows() {
-                let (ncols, nvals) = a.row(i + ROW_PREFETCH_DIST);
-                prefetch_row(ncols, nvals, x.as_ptr());
-            }
-            let (cols, vals) = a.row(i);
-            *yi -= row_dot(cols, vals, x);
-        }
-        SolveTrace::finish(t0, EventKind::SpmvCsr, 0, a.nrows() as u32, 0);
-        return Ok(());
-    }
-    let bounds = plan.bounds();
     let yp = SendPtr(y.as_mut_ptr());
-    pool.run(plan.nchunks(), &|c| {
-        let hi = bounds[c + 1] as usize;
-        for i in bounds[c] as usize..hi {
+    let rows = |lo: usize, hi: usize| {
+        for i in lo..hi {
             if i + ROW_PREFETCH_DIST < hi {
                 let (ncols, nvals) = a.row(i + ROW_PREFETCH_DIST);
-                prefetch_row(ncols, nvals, x.as_ptr());
+                prefetch_row::<S, W>(ncols, nvals, x.as_ptr());
             }
             let (cols, vals) = a.row(i);
-            // SAFETY: chunk boundaries partition the rows, so each y[i] is
-            // touched by exactly one job.
-            unsafe { *yp.ptr().add(i) -= row_dot(cols, vals, x) };
+            // SAFETY: `check_dims` sized `x` for every column index and `y`
+            // for every row; the callers' row ranges are disjoint, so each
+            // y[i·W..(i+1)·W] has exactly one writer.
+            unsafe { update_row::<S, W>(cols, vals, x.as_ptr(), yp.ptr(), i) };
         }
-    });
-    SolveTrace::finish(
-        t0,
-        EventKind::SpmvCsr,
-        0,
-        a.nrows() as u32,
-        plan.nchunks().min(u16::MAX as usize) as u16,
-    );
+    };
+    run_chunks(plan, pool, &rows);
+    SolveTrace::finish(t0, EventKind::SpmvCsr, 0, a.nrows() as u32, chunk_count(plan));
     Ok(())
 }
 
 /// Preplanned `y ← y − A·x` over DCSR (chunks over stored lanes; each lane
 /// maps to a distinct row, so writes stay disjoint). Zero heap allocations,
-/// bit-identical to [`scalar_dcsr`].
+/// bit-identical to [`scalar_dcsr`]. The single-column form of
+/// [`dcsr_update_panel`].
 pub fn dcsr_update_planned<S: Scalar>(
     a: &Dcsr<S>,
     plan: &SpmvPlan,
@@ -204,7 +205,19 @@ pub fn dcsr_update_planned<S: Scalar>(
     y: &mut [S],
     pool: &ExecPool,
 ) -> Result<(), MatrixError> {
-    check_dims(a.nrows(), a.ncols(), x, y)?;
+    dcsr_update_panel::<S, 1>(a, plan, x, y, pool)
+}
+
+/// [`dcsr_update_planned`] on `W`-wide row-interleaved panels (see
+/// [`csr_update_panel`]).
+pub fn dcsr_update_panel<S: Scalar, const W: usize>(
+    a: &Dcsr<S>,
+    plan: &SpmvPlan,
+    x: &[S],
+    y: &mut [S],
+    pool: &ExecPool,
+) -> Result<(), MatrixError> {
+    check_dims(a.nrows() * W, a.ncols() * W, x, y)?;
     if plan.len() != a.n_lanes() {
         return Err(MatrixError::DimensionMismatch {
             what: "spmv plan lanes",
@@ -213,41 +226,64 @@ pub fn dcsr_update_planned<S: Scalar>(
         });
     }
     let t0 = SolveTrace::start();
-    if plan.nchunks() <= 1 {
-        for k in 0..a.n_lanes() {
-            if k + ROW_PREFETCH_DIST < a.n_lanes() {
-                let (_, ncols, nvals) = a.lane(k + ROW_PREFETCH_DIST);
-                prefetch_row(ncols, nvals, x.as_ptr());
-            }
-            let (row, cols, vals) = a.lane(k);
-            y[row] -= row_dot(cols, vals, x);
-        }
-        SolveTrace::finish(t0, EventKind::SpmvDcsr, 0, a.n_lanes() as u32, 0);
-        return Ok(());
-    }
-    let bounds = plan.bounds();
     let yp = SendPtr(y.as_mut_ptr());
-    pool.run(plan.nchunks(), &|c| {
-        let hi = bounds[c + 1] as usize;
-        for k in bounds[c] as usize..hi {
+    let lanes = |lo: usize, hi: usize| {
+        for k in lo..hi {
             if k + ROW_PREFETCH_DIST < hi {
                 let (_, ncols, nvals) = a.lane(k + ROW_PREFETCH_DIST);
-                prefetch_row(ncols, nvals, x.as_ptr());
+                prefetch_row::<S, W>(ncols, nvals, x.as_ptr());
             }
             let (row, cols, vals) = a.lane(k);
-            // SAFETY: lanes hold distinct rows and chunks partition the
-            // lanes, so each y[row] is touched by exactly one job.
-            unsafe { *yp.ptr().add(row) -= row_dot(cols, vals, x) };
+            // SAFETY: as in `csr_update_panel`; lanes hold distinct rows,
+            // so disjoint lane ranges write disjoint rows.
+            unsafe { update_row::<S, W>(cols, vals, x.as_ptr(), yp.ptr(), row) };
         }
-    });
-    SolveTrace::finish(
-        t0,
-        EventKind::SpmvDcsr,
-        0,
-        a.n_lanes() as u32,
-        plan.nchunks().min(u16::MAX as usize) as u16,
-    );
+    };
+    run_chunks(plan, pool, &lanes);
+    SolveTrace::finish(t0, EventKind::SpmvDcsr, 0, a.n_lanes() as u32, chunk_count(plan));
     Ok(())
+}
+
+/// `y[row·W + j] −= Σ vals[k]·x[cols[k]·W + j]` for every column `j`.
+///
+/// # Safety
+/// As [`row_dot_panel`], plus `y` must cover `W·(row + 1)` entries with no
+/// concurrent access to that row's panel entries.
+#[inline(always)]
+unsafe fn update_row<S: Scalar, const W: usize>(
+    cols: &[usize],
+    vals: &[S],
+    x: *const S,
+    y: *mut S,
+    row: usize,
+) {
+    // SAFETY: the caller's contract covers the reads of `x`.
+    let dot = unsafe { row_dot_panel::<S, W>(cols, vals, x) };
+    for (j, dj) in dot.into_iter().enumerate() {
+        // SAFETY: the caller guarantees `y` covers W·(row + 1) entries and
+        // that this row's panel entries have no other accessor.
+        unsafe { *y.add(row * W + j) -= dj };
+    }
+}
+
+/// Run `f(lo, hi)` over each chunk of `plan`: inline for a single-chunk
+/// plan, one pool job per chunk otherwise.
+fn run_chunks(plan: &SpmvPlan, pool: &ExecPool, f: &(dyn Fn(usize, usize) + Sync)) {
+    let bounds = plan.bounds();
+    if plan.nchunks() <= 1 {
+        f(0, plan.len());
+    } else {
+        pool.run(plan.nchunks(), &|c| f(bounds[c] as usize, bounds[c + 1] as usize));
+    }
+}
+
+/// The trace event's chunk field: 0 for an inline (single-chunk) update.
+fn chunk_count(plan: &SpmvPlan) -> u16 {
+    if plan.nchunks() <= 1 {
+        0
+    } else {
+        plan.nchunks().min(u16::MAX as usize) as u16
+    }
 }
 
 /// Plain product `A·x` via the scalar-CSR kernel (convenience for tests and

@@ -2,15 +2,16 @@
 //!
 //! The paper motivates block SpTRSV with "direct solvers with multiple
 //! right-hand sides" and amortises preprocessing over many solves (its
-//! Table 5). This module provides the multi-RHS counterpart used by the
-//! direct-solver example: `L X = B` with `B` an `n × k` dense matrix stored
-//! column-major, solved either column-by-column or with the level schedule
-//! shared across all columns (one analysis, `k` solves' worth of work, and
-//! per-level parallelism `level_size × k`).
+//! Table 5). `B` is an `n × k` dense [`MultiVector`] stored column-major;
+//! the executors solve it in row-interleaved *panels* of `W ∈ {8, 4, 2, 1}`
+//! columns ([`crate::exec::panels`]), which [`MultiVector::gather_panel`]
+//! and [`MultiVector::scatter_panel`] transpose in and out. Every panel
+//! executor loads each nonzero once per panel and keeps each column
+//! bit-identical to its single-column solve; [`sptrsm_serial`] is the
+//! column-by-column reference.
 
-use crate::exec::{solve_row, ExecPool, SendPtr};
-use recblock_matrix::levelset::LevelSets;
 use recblock_matrix::{Csr, MatrixError, Scalar};
+use std::ops::Range;
 
 /// Dense `n × k` multi-vector, column-major (`col(j)` is contiguous).
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +79,81 @@ impl<S: Scalar> MultiVector<S> {
     pub fn set(&mut self, i: usize, j: usize, v: S) {
         self.data[j * self.n + i] = v;
     }
+
+    /// Re-shape to `n × k` in place. The backing allocation is kept and
+    /// only grows, so a buffer cycled through batch shapes stops
+    /// allocating once it has held the largest. Entries are left as the
+    /// old buffer held them (new ones are zero); callers overwrite them.
+    pub fn reshape(&mut self, n: usize, k: usize) {
+        self.data.resize(n * k, S::ZERO);
+        self.n = n;
+        self.k = k;
+    }
+
+    /// Transpose columns `cols` into the row-interleaved panel `panel`
+    /// (`W = cols.len()` entries per row): `panel[r·W + j]` receives entry
+    /// `(perm[r], cols.start + j)`, or `(r, cols.start + j)` without a
+    /// permutation (`perm[new] = old`, the gather direction).
+    ///
+    /// # Panics
+    /// If `cols.len() != W`, `cols` exceeds `k`, or `panel` (or `perm`)
+    /// does not hold `n` rows.
+    pub fn gather_panel<const W: usize>(
+        &self,
+        cols: Range<usize>,
+        perm: Option<&[usize]>,
+        panel: &mut [S],
+    ) {
+        self.check_panel::<W>(&cols, perm, panel.len());
+        let src: [&[S]; W] = std::array::from_fn(|j| self.col(cols.start + j));
+        for (r, dst) in panel.chunks_exact_mut(W).enumerate() {
+            let old = perm.map_or(r, |p| p[r]);
+            for (d, col) in dst.iter_mut().zip(&src) {
+                *d = col[old];
+            }
+        }
+    }
+
+    /// The inverse of [`MultiVector::gather_panel`]: entry
+    /// `(perm[r], cols.start + j)` (or `(r, cols.start + j)`) receives
+    /// `panel[r·W + j]`.
+    ///
+    /// # Panics
+    /// As [`MultiVector::gather_panel`].
+    pub fn scatter_panel<const W: usize>(
+        &mut self,
+        cols: Range<usize>,
+        perm: Option<&[usize]>,
+        panel: &[S],
+    ) {
+        self.check_panel::<W>(&cols, perm, panel.len());
+        let n = self.n;
+        let mut dst: [&mut [S]; W] = {
+            let mut rest = &mut self.data[cols.start * n..cols.end * n];
+            std::array::from_fn(|_| {
+                let (col, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                col
+            })
+        };
+        for (r, src) in panel.chunks_exact(W).enumerate() {
+            let old = perm.map_or(r, |p| p[r]);
+            for (col, &v) in dst.iter_mut().zip(src) {
+                col[old] = v;
+            }
+        }
+    }
+
+    /// The shape check shared by the panel transposes.
+    fn check_panel<const W: usize>(&self, cols: &Range<usize>, perm: Option<&[usize]>, len: usize) {
+        assert!(
+            cols.len() == W
+                && cols.end <= self.k
+                && len == self.n * W
+                && perm.is_none_or(|p| p.len() == self.n),
+            "panel shape does not match the multivector"
+        );
+    }
 }
 
 /// Solve `L X = B` column-by-column with the serial kernel (reference).
@@ -100,75 +176,49 @@ pub fn sptrsm_serial<S: Scalar>(
     Ok(x)
 }
 
-/// Solve `L X = B` with one shared level analysis: columns are independent,
-/// so they run in parallel, and within each column levels run in order.
-///
-/// With `k` right-hand sides every level has `k ×` the parallelism of the
-/// single-RHS case, which is exactly why the paper's preprocessing cost
-/// "can be easily amortized" in multi-RHS scenarios.
-pub fn sptrsm_levelset<S: Scalar>(
-    l: &Csr<S>,
-    levels: &LevelSets,
-    b: &MultiVector<S>,
-) -> Result<MultiVector<S>, MatrixError> {
-    let mut x = MultiVector::zeros(b.n(), b.k());
-    sptrsm_levelset_into(l, levels, b, &mut x, ExecPool::global())?;
-    Ok(x)
-}
-
-/// As [`sptrsm_levelset`] into a caller-provided multi-vector on an explicit
-/// pool — the zero-allocation steady-state path. Columns are fully
-/// independent, so each becomes one pool job writing its own contiguous
-/// column slice; within a column levels run in order, every row reducing
-/// through [`crate::exec::row_dot`], so each column is bit-identical to the
-/// serial reference regardless of how columns were scheduled.
-pub fn sptrsm_levelset_into<S: Scalar>(
-    l: &Csr<S>,
-    levels: &LevelSets,
-    b: &MultiVector<S>,
-    x: &mut MultiVector<S>,
-    pool: &ExecPool,
-) -> Result<(), MatrixError> {
-    if b.n() != l.nrows() {
-        return Err(MatrixError::DimensionMismatch {
-            what: "sptrsm rhs rows",
-            expected: l.nrows(),
-            actual: b.n(),
-        });
-    }
-    if x.n() != b.n() || x.k() != b.k() {
-        return Err(MatrixError::DimensionMismatch {
-            what: "sptrsm output shape",
-            expected: b.n() * b.k(),
-            actual: x.n() * x.k(),
-        });
-    }
-    let n = b.n();
-    let k = b.k();
-    let xp = SendPtr(x.as_mut_slice().as_mut_ptr());
-    pool.run(k, &|j| {
-        // SAFETY: column slices are disjoint (column-major layout), so job
-        // j is the only writer and reader of x[j*n..(j+1)*n].
-        let xj = unsafe { std::slice::from_raw_parts_mut(xp.ptr().add(j * n), n) };
-        let bj = b.col(j);
-        for lvl in 0..levels.nlevels() {
-            for &i in levels.level_items(lvl) {
-                xj[i] = solve_row(l, bj, xj, i);
-            }
-        }
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{panels, ExecPool};
+    use crate::sptrsv::LevelSetSolver;
     use recblock_matrix::generate;
     use recblock_matrix::vector::max_rel_diff;
 
     fn rhs(n: usize, k: usize) -> MultiVector<f64> {
         let data: Vec<f64> = (0..n * k).map(|i| ((i * 31 % 97) as f64) - 48.0).collect();
         MultiVector::from_columns(n, k, data).unwrap()
+    }
+
+    /// Solve every column of `b` through the level-set panel executor.
+    fn solve_panels(
+        s: &LevelSetSolver<f64>,
+        b: &MultiVector<f64>,
+        x: &mut MultiVector<f64>,
+        pool: &ExecPool,
+    ) -> Result<(), MatrixError> {
+        fn one<const W: usize>(
+            s: &LevelSetSolver<f64>,
+            b: &MultiVector<f64>,
+            x: &mut MultiVector<f64>,
+            cols: Range<usize>,
+            pool: &ExecPool,
+        ) -> Result<(), MatrixError> {
+            let n = b.n();
+            let (mut bp, mut xp) = (vec![0.0; n * W], vec![0.0; n * W]);
+            b.gather_panel::<W>(cols.clone(), None, &mut bp);
+            s.solve_panel::<W>(&bp, &mut xp, pool)?;
+            x.scatter_panel::<W>(cols, None, &xp);
+            Ok(())
+        }
+        for cols in panels(b.k()) {
+            match cols.len() {
+                8 => one::<8>(s, b, x, cols, pool)?,
+                4 => one::<4>(s, b, x, cols, pool)?,
+                2 => one::<2>(s, b, x, cols, pool)?,
+                _ => one::<1>(s, b, x, cols, pool)?,
+            }
+        }
+        Ok(())
     }
 
     #[test]
@@ -187,36 +237,68 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_levelset_agree() {
+    fn reshape_keeps_capacity() {
+        let mut m = MultiVector::<f64>::zeros(100, 8);
+        let cap = m.data.capacity();
+        m.reshape(100, 3);
+        assert_eq!((m.n(), m.k(), m.as_slice().len()), (100, 3, 300));
+        m.reshape(50, 16);
+        assert_eq!((m.n(), m.k(), m.as_slice().len()), (50, 16, 800));
+        assert_eq!(m.data.capacity(), cap, "shapes within the first size reuse its buffer");
+    }
+
+    #[test]
+    fn panel_transposes_roundtrip_through_a_permutation() {
+        let b = rhs(7, 5);
+        let perm = [3usize, 0, 6, 1, 5, 2, 4];
+        let mut panel = vec![0.0; 7 * 4];
+        b.gather_panel::<4>(1..5, Some(&perm), &mut panel);
+        for r in 0..7 {
+            for j in 0..4 {
+                assert_eq!(panel[r * 4 + j], b.get(perm[r], 1 + j));
+            }
+        }
+        let mut back = MultiVector::zeros(7, 5);
+        back.scatter_panel::<4>(1..5, Some(&perm), &panel);
+        for j in 1..5 {
+            assert_eq!(back.col(j), b.col(j));
+        }
+        assert_eq!(back.col(0), &[0.0; 7], "columns outside the panel are untouched");
+    }
+
+    #[test]
+    fn serial_and_panel_agree() {
         let l = generate::random_lower::<f64>(400, 4.0, 81);
-        let levels = LevelSets::analyse(&l).unwrap();
+        let s = LevelSetSolver::new(l.clone()).unwrap();
         let b = rhs(400, 6);
         let x1 = sptrsm_serial(&l, &b).unwrap();
-        let x2 = sptrsm_levelset(&l, &levels, &b).unwrap();
+        let mut x2 = MultiVector::zeros(400, 6);
+        solve_panels(&s, &b, &mut x2, ExecPool::global()).unwrap();
         for j in 0..6 {
             assert_eq!(x1.col(j), x2.col(j), "column {j} must be bit-identical");
         }
     }
 
     #[test]
-    fn into_variant_matches_and_validates_shape() {
+    fn pooled_panels_match_serial_and_validate_shape() {
         let l = generate::grid2d::<f64>(15, 15, 84);
-        let levels = LevelSets::analyse(&l).unwrap();
+        let s = LevelSetSolver::new(l.clone()).unwrap();
         let b = rhs(225, 4);
         let pool = ExecPool::new(2);
         let mut x = MultiVector::zeros(225, 4);
-        sptrsm_levelset_into(&l, &levels, &b, &mut x, &pool).unwrap();
+        solve_panels(&s, &b, &mut x, &pool).unwrap();
         assert_eq!(x, sptrsm_serial(&l, &b).unwrap());
-        let mut bad = MultiVector::zeros(225, 3);
-        assert!(sptrsm_levelset_into(&l, &levels, &b, &mut bad, &pool).is_err());
+        let (bp, mut short) = (vec![0.0; 225 * 4], vec![0.0; 225 * 3]);
+        assert!(s.solve_panel::<4>(&bp, &mut short, &pool).is_err());
     }
 
     #[test]
     fn each_column_solves_its_system() {
         let l = generate::grid2d::<f64>(12, 12, 82);
-        let levels = LevelSets::analyse(&l).unwrap();
+        let s = LevelSetSolver::new(l.clone()).unwrap();
         let b = rhs(144, 3);
-        let x = sptrsm_levelset(&l, &levels, &b).unwrap();
+        let mut x = MultiVector::zeros(144, 3);
+        solve_panels(&s, &b, &mut x, ExecPool::global()).unwrap();
         for j in 0..3 {
             let r = recblock_matrix::vector::residual_inf(&l, x.col(j), b.col(j)).unwrap();
             assert!(r < 1e-12, "column {j} residual {r}");
@@ -228,16 +310,17 @@ mod tests {
         let l = Csr::<f64>::identity(4);
         let b = MultiVector::<f64>::zeros(3, 2);
         assert!(sptrsm_serial(&l, &b).is_err());
-        let levels = LevelSets::analyse(&l).unwrap();
-        assert!(sptrsm_levelset(&l, &levels, &b).is_err());
+        let s = LevelSetSolver::new(l).unwrap();
+        assert!(s.solve_panel::<2>(&[0.0; 6], &mut [0.0; 6], ExecPool::global()).is_err());
     }
 
     #[test]
     fn single_column_matches_sptrsv() {
         let l = generate::chain::<f64>(100, 83);
-        let levels = LevelSets::analyse(&l).unwrap();
+        let s = LevelSetSolver::new(l.clone()).unwrap();
         let b = rhs(100, 1);
-        let x = sptrsm_levelset(&l, &levels, &b).unwrap();
+        let mut x = MultiVector::zeros(100, 1);
+        solve_panels(&s, &b, &mut x, ExecPool::global()).unwrap();
         let x_ref = crate::sptrsv::serial_csr(&l, b.col(0)).unwrap();
         assert!(max_rel_diff(x.col(0), &x_ref) < 1e-13);
     }

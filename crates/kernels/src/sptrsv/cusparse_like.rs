@@ -135,7 +135,20 @@ impl<S: Scalar> CusparseLikeSolver<S> {
     /// Solve into a caller-provided buffer: executes the preplanned schedule
     /// on the global [`ExecPool`] with zero heap allocations.
     pub fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
-        let n = self.l.nrows();
+        self.solve_panel::<1>(b, x, ExecPool::global())
+    }
+
+    /// Solve `W` right-hand sides in one pass over the matrix on `pool`:
+    /// `b` and `x` are row-interleaved panels of `n·W` entries (row `i` of
+    /// column `j` at `i·W + j`), and each column is bit-identical to
+    /// [`CusparseLikeSolver::solve_into`] on it.
+    pub fn solve_panel<const W: usize>(
+        &self,
+        b: &[S],
+        x: &mut [S],
+        pool: &ExecPool,
+    ) -> Result<(), MatrixError> {
+        let n = self.l.nrows() * W;
         if b.len() != n || x.len() != n {
             return Err(MatrixError::DimensionMismatch {
                 what: "sptrsv buffers",
@@ -144,7 +157,7 @@ impl<S: Scalar> CusparseLikeSolver<S> {
             });
         }
         let t0 = SolveTrace::start();
-        self.sched.solve_into(&self.l, b, x, ExecPool::global());
+        self.sched.solve_panel::<S, W>(&self.l, b, x, pool);
         SolveTrace::finish(
             t0,
             EventKind::CusparseKernel,

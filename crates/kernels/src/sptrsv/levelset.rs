@@ -147,11 +147,27 @@ impl<S: Scalar> LevelSetSolver<S> {
         x: &mut [S],
         pool: &ExecPool,
     ) -> Result<(), MatrixError> {
-        self.check_buffers(b, x)?;
+        self.solve_panel::<1>(b, x, pool)
+    }
+
+    /// Solve `W` right-hand sides in one pass over the matrix: `b` and `x`
+    /// are row-interleaved panels of `n·W` entries (row `i` of column `j`
+    /// at `i·W + j`). Runs the same compiled schedule as
+    /// [`LevelSetSolver::solve_into`] — point-to-point when compiled, with
+    /// the level-sync fallback — and each column is bit-identical to a
+    /// single-column solve of it.
+    pub fn solve_panel<const W: usize>(
+        &self,
+        b: &[S],
+        x: &mut [S],
+        pool: &ExecPool,
+    ) -> Result<(), MatrixError> {
+        self.check_buffers(b, x, W)?;
         let t0 = SolveTrace::start();
-        let p2p_done = self.tasks.as_ref().is_some_and(|t| t.solve_into(&self.l, b, x, pool));
+        let p2p_done =
+            self.tasks.as_ref().is_some_and(|t| t.solve_panel::<S, W>(&self.l, b, x, pool));
         if !p2p_done {
-            self.sched.solve_into(&self.l, b, x, pool);
+            self.sched.solve_panel::<S, W>(&self.l, b, x, pool);
         }
         SolveTrace::finish(
             t0,
@@ -163,8 +179,8 @@ impl<S: Scalar> LevelSetSolver<S> {
         Ok(())
     }
 
-    fn check_buffers(&self, b: &[S], x: &[S]) -> Result<(), MatrixError> {
-        let n = self.l.nrows();
+    fn check_buffers(&self, b: &[S], x: &[S], w: usize) -> Result<(), MatrixError> {
+        let n = self.l.nrows() * w;
         if b.len() != n || x.len() != n {
             return Err(MatrixError::DimensionMismatch {
                 what: "sptrsv buffers",
@@ -180,7 +196,7 @@ impl<S: Scalar> LevelSetSolver<S> {
     /// Not part of the public API surface.
     #[doc(hidden)]
     pub fn solve_into_unscheduled(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
-        self.check_buffers(b, x)?;
+        self.check_buffers(b, x, 1)?;
         let l = &self.l;
         for lvl in 0..self.levels.nlevels() {
             let items = self.levels.level_items(lvl);

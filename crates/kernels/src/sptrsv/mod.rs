@@ -9,7 +9,7 @@ mod syncfree_csr;
 
 pub use cusparse_like::CusparseLikeSolver;
 pub use levelset::LevelSetSolver;
-pub use parallel_diag::{is_diagonal_only, parallel_diag, parallel_diag_into};
+pub use parallel_diag::{is_diagonal_only, parallel_diag, parallel_diag_into, parallel_diag_panel};
 pub use serial::{serial_csc, serial_csr};
 pub use syncfree::SyncFreeSolver;
 pub use syncfree_csr::SyncFreeCsrSolver;

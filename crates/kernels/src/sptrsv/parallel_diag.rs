@@ -9,7 +9,7 @@ use crate::exec::ExecPool;
 use crate::trace::{EventKind, SolveTrace};
 use recblock_matrix::{Csr, MatrixError, Scalar};
 
-/// Entries per parallel chunk of [`parallel_diag_into`] — one division per
+/// Entries per parallel chunk of [`parallel_diag_panel`] — one division per
 /// entry, so a chunk is sized like a `chunk_nnz`-nonzero SpMV chunk.
 const DIAG_CHUNK: usize = 8192;
 
@@ -33,18 +33,32 @@ pub fn parallel_diag<S: Scalar>(l: &Csr<S>, b: &[S]) -> Result<Vec<S>, MatrixErr
 
 /// As [`parallel_diag`] into a caller-provided buffer on an explicit pool —
 /// the zero-allocation steady-state path. Elementwise divisions commute with
-/// chunking, so the result is bit-identical at any concurrency.
+/// chunking, so the result is bit-identical at any concurrency. The
+/// single-column form of [`parallel_diag_panel`].
 pub fn parallel_diag_into<S: Scalar>(
     l: &Csr<S>,
     b: &[S],
     x: &mut [S],
     pool: &ExecPool,
 ) -> Result<(), MatrixError> {
+    parallel_diag_panel::<S, 1>(l, b, x, pool)
+}
+
+/// [`parallel_diag_into`] on `W`-wide row-interleaved panels: `b` and `x`
+/// hold `n·W` entries, row `i` of column `j` at `i·W + j`, and
+/// `x[i·W + j] = b[i·W + j] / d[i]` — the same division per column as the
+/// single-column solve.
+pub fn parallel_diag_panel<S: Scalar, const W: usize>(
+    l: &Csr<S>,
+    b: &[S],
+    x: &mut [S],
+    pool: &ExecPool,
+) -> Result<(), MatrixError> {
     let n = l.nrows();
-    if b.len() != n || x.len() != n {
+    if b.len() != n * W || x.len() != n * W {
         return Err(MatrixError::DimensionMismatch {
             what: "sptrsv buffers",
-            expected: n,
+            expected: n * W,
             actual: b.len().min(x.len()),
         });
     }
@@ -53,22 +67,27 @@ pub fn parallel_diag_into<S: Scalar>(
     }
     let vals = l.vals();
     let t0 = SolveTrace::start();
-    if n <= DIAG_CHUNK {
-        for i in 0..n {
-            x[i] = b[i] / vals[i];
+    let chunk_rows = (DIAG_CHUNK / W).max(1);
+    if n <= chunk_rows {
+        for ((xr, br), &d) in x.chunks_exact_mut(W).zip(b.chunks_exact(W)).zip(vals) {
+            for (xv, &bv) in xr.iter_mut().zip(br) {
+                *xv = bv / d;
+            }
         }
         SolveTrace::finish(t0, EventKind::DiagKernel, 0, n as u32, 0);
         return Ok(());
     }
-    let nchunks = n.div_ceil(DIAG_CHUNK);
+    let nchunks = n.div_ceil(chunk_rows);
     let xp = crate::exec::SendPtr(x.as_mut_ptr());
     pool.run(nchunks, &|c| {
-        let lo = c * DIAG_CHUNK;
-        let hi = (lo + DIAG_CHUNK).min(n);
+        let lo = c * chunk_rows;
+        let hi = (lo + chunk_rows).min(n);
         for i in lo..hi {
-            // SAFETY: chunks partition 0..n, so each x[i] is written by
-            // exactly one job and read by none.
-            unsafe { *xp.ptr().add(i) = b[i] / vals[i] };
+            for j in 0..W {
+                // SAFETY: chunks partition 0..n, so each x[i·W + j] is
+                // written by exactly one job and read by none.
+                unsafe { *xp.ptr().add(i * W + j) = b[i * W + j] / vals[i] };
+            }
         }
     });
     SolveTrace::finish(

@@ -14,8 +14,10 @@
 
 use recblock_kernels::exec::{ExecPool, SolveWorkspace, SpmvPlan, TuneParams};
 use recblock_kernels::spmv;
-use recblock_kernels::sptrsm::{sptrsm_levelset_into, MultiVector};
-use recblock_kernels::sptrsv::{parallel_diag_into, CusparseLikeSolver, LevelSetSolver};
+use recblock_kernels::sptrsm::MultiVector;
+use recblock_kernels::sptrsv::{
+    parallel_diag_into, parallel_diag_panel, CusparseLikeSolver, LevelSetSolver,
+};
 use recblock_matrix::generate;
 use recblock_matrix::levelset::LevelSets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -159,31 +161,44 @@ fn steady_state_solves_do_not_allocate() {
     });
     assert_eq!(allocs, 0, "dcsr_update_planned allocated in steady state");
 
-    // --- multi-RHS level-set solve ----------------------------------------
-    let k = 4;
-    let data: Vec<f64> = (0..n * k).map(|i| ((i % 31) as f64) - 15.0).collect();
-    let bm = MultiVector::from_columns(n, k, data).unwrap();
-    let mut xm = MultiVector::zeros(n, k);
-    sptrsm_levelset_into(&l, &levels, &bm, &mut xm, pool).unwrap();
+    // --- multi-RHS panels --------------------------------------------------
+    // Every executor's 4-wide panel form, with the transposes in and out of
+    // a column-major batch, on buffers sized once up front.
+    const W: usize = 4;
+    let data: Vec<f64> = (0..n * W).map(|i| ((i % 31) as f64) - 15.0).collect();
+    let bm = MultiVector::from_columns(n, W, data).unwrap();
+    let mut xm = MultiVector::zeros(n, W);
+    let (mut bp, mut xp) = (vec![0.0f64; n * W], vec![0.0f64; n * W]);
+    let (bdp, mut xdp) = (vec![2.5f64; 20_000 * W], vec![0.0f64; 20_000 * W]);
+    let (xsp, mut ysp) = (vec![1.0f64; 2000 * W], vec![0.0f64; 2000 * W]);
+    let mut panels = || {
+        bm.gather_panel::<W>(0..W, None, &mut bp);
+        ls.solve_panel::<W>(&bp, &mut xp, pool).unwrap();
+        lp.solve_panel::<W>(&bp, &mut xp, &p2p_pool).unwrap();
+        cu.solve_panel::<W>(&bp, &mut xp, pool).unwrap();
+        xm.scatter_panel::<W>(0..W, None, &xp);
+        parallel_diag_panel::<f64, W>(&d, &bdp, &mut xdp, pool).unwrap();
+        spmv::csr_update_panel::<f64, W>(&a, &plan, &xsp, &mut ysp, pool).unwrap();
+        spmv::dcsr_update_panel::<f64, W>(&ad, &dplan, &xsp, &mut ysp, pool).unwrap();
+    };
+    panels(); // warm-up
     let allocs = allocations_during(|| {
         for _ in 0..5 {
-            sptrsm_levelset_into(&l, &levels, &bm, &mut xm, pool).unwrap();
+            panels();
         }
     });
-    assert_eq!(allocs, 0, "sptrsm_levelset_into allocated in steady state");
+    assert_eq!(allocs, 0, "a panel executor allocated in steady state");
 
     // --- workspace reuse is allocation-free once warmed -------------------
+    // The buffers only grow: after holding an 8-wide panel, single solves
+    // and narrower panels reuse them.
     let mut ws = SolveWorkspace::<f64>::new();
-    ws.pair(n);
-    ws.wide_pair(n * k);
+    ws.pair(n * 8);
     let allocs = allocations_during(|| {
-        for _ in 0..10 {
-            let (w, xw) = ws.pair(n);
-            w[0] = 1.0;
-            xw[0] = 2.0;
-            let (ww, xx) = ws.wide_pair(n * k);
-            ww[0] = 3.0;
-            xx[0] = 4.0;
+        for w in [1, 8, 2, 4, 1, 8] {
+            let (wk, xw) = ws.pair(n * w);
+            wk[0] = 1.0;
+            xw[n * w - 1] = 2.0;
         }
     });
     assert_eq!(allocs, 0, "warmed SolveWorkspace allocated on reuse");

@@ -7,14 +7,22 @@
 //! the serial reference for arbitrary matrices, arbitrary tuning thresholds
 //! and both scalar widths. These properties pin that down, including the
 //! degenerate shapes (single level, pure chain, empty rows / DCSR).
+//!
+//! The multi-RHS panel executors carry the same contract column by column:
+//! every column of a `W`-wide panel solve or update is bit-identical to the
+//! executor's single-column form on that column, for every batch width the
+//! greedy panel split produces.
 
 use proptest::prelude::*;
-use recblock_kernels::exec::{ExecPool, ScheduleMode, SpmvPlan, TuneParams};
+use recblock_kernels::exec::{panels, ExecPool, ScheduleMode, SpmvPlan, TuneParams};
 use recblock_kernels::spmv;
-use recblock_kernels::sptrsv::{serial_csr, CusparseLikeSolver, LevelSetSolver};
+use recblock_kernels::sptrsm::MultiVector;
+use recblock_kernels::sptrsv::{
+    parallel_diag_into, parallel_diag_panel, serial_csr, CusparseLikeSolver, LevelSetSolver,
+};
 use recblock_matrix::generate;
 use recblock_matrix::levelset::LevelSets;
-use recblock_matrix::{Csr, Dcsr, Scalar};
+use recblock_matrix::{Csr, Dcsr, MatrixError, Scalar};
 
 fn arb_lower() -> impl Strategy<Value = Csr<f64>> {
     (10usize..200, 0u64..400, 5u32..60)
@@ -85,8 +93,190 @@ fn check_solvers_bitwise<S: Scalar>(l: Csr<S>, tune: TuneParams, rhs_seed: u64) 
     assert_eq!(cu.solve(&b).unwrap(), reference, "cusparse-like vs serial");
 }
 
+/// An executor with a single-column form and a `W`-wide panel form. `input`
+/// is read only (the right-hand side, or the SpMV's `x`); `inout` is the
+/// solution, or the SpMV's updated `y`.
+trait PanelExec<S> {
+    fn single(&self, input: &[S], inout: &mut [S]) -> Result<(), MatrixError>;
+    fn panel<const W: usize>(&self, input: &[S], inout: &mut [S]) -> Result<(), MatrixError>;
+}
+
+/// Run a `W`-wide panel of `input`/`inout` columns `cols` through `e`.
+fn one_panel<S: Scalar, E: PanelExec<S>, const W: usize>(
+    e: &E,
+    input: &MultiVector<S>,
+    inout: &mut MultiVector<S>,
+    cols: std::ops::Range<usize>,
+) {
+    let mut ip = vec![S::ZERO; input.n() * W];
+    let mut op = vec![S::ZERO; inout.n() * W];
+    input.gather_panel::<W>(cols.clone(), None, &mut ip);
+    inout.gather_panel::<W>(cols.clone(), None, &mut op);
+    e.panel::<W>(&ip, &mut op).unwrap();
+    inout.scatter_panel::<W>(cols, None, &op);
+}
+
+/// Every column of the batch through `e`'s panels (split greedily into
+/// 8/4/2/1 wide) must be bit-identical to `e`'s single-column form on it.
+fn check_panels_bitwise<S: Scalar, E: PanelExec<S>>(
+    e: &E,
+    input: &MultiVector<S>,
+    inout: &MultiVector<S>,
+    what: &str,
+) {
+    let mut by_panels = inout.clone();
+    for cols in panels(input.k()) {
+        match cols.len() {
+            8 => one_panel::<S, E, 8>(e, input, &mut by_panels, cols),
+            4 => one_panel::<S, E, 4>(e, input, &mut by_panels, cols),
+            2 => one_panel::<S, E, 2>(e, input, &mut by_panels, cols),
+            _ => one_panel::<S, E, 1>(e, input, &mut by_panels, cols),
+        }
+    }
+    for j in 0..input.k() {
+        let mut col = inout.col(j).to_vec();
+        e.single(input.col(j), &mut col).unwrap();
+        // f32 → f64 is exact, so comparing the widened bits compares the
+        // original bits (signed zeros included).
+        let bits = |v: &S| v.to_f64().to_bits();
+        let same = col.iter().zip(by_panels.col(j)).all(|(a, b)| bits(a) == bits(b));
+        assert!(same, "{what}: column {j} of {} differs from its single-column solve", input.k());
+    }
+}
+
+struct LevelSet<'a, S>(&'a LevelSetSolver<S>, &'a ExecPool);
+impl<S: Scalar> PanelExec<S> for LevelSet<'_, S> {
+    fn single(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        self.0.solve_into_pooled(b, x, self.1)
+    }
+    fn panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        self.0.solve_panel::<W>(b, x, self.1)
+    }
+}
+
+struct Cusparse<'a, S>(&'a CusparseLikeSolver<S>, &'a ExecPool);
+impl<S: Scalar> PanelExec<S> for Cusparse<'_, S> {
+    fn single(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        // The single-column form runs on the global pool; the schedule
+        // makes the result independent of the pool.
+        self.0.solve_into(b, x)
+    }
+    fn panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        self.0.solve_panel::<W>(b, x, self.1)
+    }
+}
+
+struct Diag<'a, S>(&'a Csr<S>, &'a ExecPool);
+impl<S: Scalar> PanelExec<S> for Diag<'_, S> {
+    fn single(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        parallel_diag_into(self.0, b, x, self.1)
+    }
+    fn panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
+        parallel_diag_panel::<S, W>(self.0, b, x, self.1)
+    }
+}
+
+struct CsrUpdate<'a, S>(&'a Csr<S>, &'a SpmvPlan, &'a ExecPool);
+impl<S: Scalar> PanelExec<S> for CsrUpdate<'_, S> {
+    fn single(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
+        spmv::csr_update_planned(self.0, self.1, x, y, self.2)
+    }
+    fn panel<const W: usize>(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
+        spmv::csr_update_panel::<S, W>(self.0, self.1, x, y, self.2)
+    }
+}
+
+struct DcsrUpdate<'a, S>(&'a Dcsr<S>, &'a SpmvPlan, &'a ExecPool);
+impl<S: Scalar> PanelExec<S> for DcsrUpdate<'_, S> {
+    fn single(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
+        spmv::dcsr_update_planned(self.0, self.1, x, y, self.2)
+    }
+    fn panel<const W: usize>(&self, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
+        spmv::dcsr_update_panel::<S, W>(self.0, self.1, x, y, self.2)
+    }
+}
+
+fn csr_of<S: Scalar>(n: usize, entries: impl Iterator<Item = (usize, usize, S)>) -> Csr<S> {
+    let mut coo = recblock_matrix::Coo::new(n, n);
+    for (i, j, v) in entries {
+        coo.push(i, j, v).unwrap();
+    }
+    coo.to_csr()
+}
+
+fn batch_for<S: Scalar>(n: usize, k: usize, seed: u64) -> MultiVector<S> {
+    let data = (0..k).flat_map(|j| rhs_for::<S>(n, seed + 13 * j as u64)).collect();
+    MultiVector::from_columns(n, k, data).unwrap()
+}
+
+/// Every panel executor against its single-column form on `l` (plus its
+/// diagonal and its strictly-lower part as SpMV blocks), `k` columns, on
+/// a pool of `workers` workers.
+fn check_all_panel_executors<S: Scalar>(
+    l: Csr<S>,
+    tune: TuneParams,
+    k: usize,
+    workers: usize,
+    seed: u64,
+) {
+    let pool = ExecPool::new(workers);
+    let n = l.nrows();
+    let b = batch_for::<S>(n, k, seed);
+    let x0 = MultiVector::zeros(n, k);
+    let levels = LevelSets::analyse(&l).unwrap();
+
+    let sync = TuneParams { schedule_mode: ScheduleMode::LevelSync, ..tune };
+    let ls = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), sync, pool.concurrency());
+    check_panels_bitwise(&LevelSet(&ls, &pool), &b, &x0, "level-sync");
+
+    let p2p = TuneParams { schedule_mode: ScheduleMode::PointToPoint, ..tune };
+    let lp = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), p2p, pool.concurrency());
+    assert!(lp.task_stats().is_some(), "p2p mode must compile a task graph");
+    check_panels_bitwise(&LevelSet(&lp, &pool), &b, &x0, "point-to-point");
+
+    let cu = CusparseLikeSolver::with_levels_tuned(l.clone(), levels, tune).unwrap();
+    check_panels_bitwise(&Cusparse(&cu, &pool), &b, &x0, "cusparse-like");
+
+    let d = csr_of(n, l.iter().filter(|&(i, j, _)| i == j));
+    check_panels_bitwise(&Diag(&d, &pool), &b, &x0, "diagonal");
+
+    // The strictly-lower part as an SpMV block (heavy rows included),
+    // updating a non-zero `y` batch.
+    let a = csr_of(n, l.iter().filter(|&(i, j, _)| i != j));
+    let y0 = batch_for::<S>(n, k, seed + 1);
+    let plan = SpmvPlan::for_csr(&a, &tune);
+    check_panels_bitwise(&CsrUpdate(&a, &plan, &pool), &b, &y0, "csr update");
+    let ad = Dcsr::from_csr(&a);
+    let dplan = SpmvPlan::for_dcsr(&ad, &tune);
+    check_panels_bitwise(&DcsrUpdate(&ad, &dplan, &pool), &b, &y0, "dcsr update");
+}
+
+/// Lower-triangular matrices with a few rows of ≥ 8 off-diagonal nonzeros,
+/// so the AVX2 `row_dot` lowering is on the single-column side.
+fn arb_heavy_lower() -> impl Strategy<Value = Csr<f64>> {
+    (arb_lower(), 0usize..4, 8usize..40, 0u64..100)
+        .prop_map(|(l, heavy, degree, seed)| generate::with_heavy_rows(&l, heavy, degree, seed))
+}
+
+fn arb_panel_case() -> impl Strategy<Value = (Csr<f64>, TuneParams, usize, usize, u64)> {
+    (arb_heavy_lower(), arb_p2p_tune(), 0usize..4, 1usize..4, 0u64..50)
+        .prop_map(|(l, tune, ki, workers, seed)| (l, tune, [1, 2, 3, 8][ki], workers, seed))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn panel_executors_bit_identical_per_column_f64(case in arb_panel_case()) {
+        let (l, tune, k, workers, seed) = case;
+        check_all_panel_executors(l, tune, k, workers, seed);
+    }
+
+    #[test]
+    fn panel_executors_bit_identical_per_column_f32(case in arb_panel_case()) {
+        let (l, tune, k, workers, seed) = case;
+        check_all_panel_executors(to_f32(&l), tune, k, workers, seed);
+    }
 
     #[test]
     fn scheduled_solvers_bit_identical_to_serial_f64(
@@ -146,6 +336,19 @@ proptest! {
         let dplan = SpmvPlan::for_dcsr(&ad, &tune);
         spmv::dcsr_update_planned(&ad, &dplan, &x, &mut y_dcsr, pool).unwrap();
         prop_assert_eq!(&y_dcsr, &y_ref);
+    }
+}
+
+#[test]
+fn diagonal_panels_bit_identical_across_chunks() {
+    // Large enough that both the single-column solve and every panel width
+    // split the rows into several parallel chunks.
+    let n = 20_000;
+    let d = generate::diagonal::<f64>(n, 922);
+    let pool = ExecPool::new(2);
+    for k in [3, 8] {
+        let b = batch_for::<f64>(n, k, 17);
+        check_panels_bitwise(&Diag(&d, &pool), &b, &MultiVector::zeros(n, k), "diagonal");
     }
 }
 

@@ -39,9 +39,9 @@ impl StoreOptions {
 /// Configuration for [`crate::SolveService`].
 ///
 /// The defaults are sized for an interactive service on the current host:
-/// one worker per available core, batches capped at 8 columns (past that
-/// the multi-RHS walk's vector working set stops fitting alongside the
-/// matrix), and a queue a few hundred requests deep.
+/// one worker per available core, batches capped at 8 columns (the widest
+/// panel the multi-RHS executors load each nonzero once for), and a queue
+/// a few hundred requests deep.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Solver worker threads. `0` is accepted (useful in tests: nothing

@@ -10,8 +10,9 @@
 //!   matrix fingerprint ([`cache::PlanCache`]) — each distinct matrix is
 //!   preprocessed once, no matter how many threads submit it concurrently;
 //! * a **batching engine** ([`batch`]) that coalesces queued right-hand
-//!   sides for the same matrix into one fused multi-RHS solve
-//!   ([`recblock::RecBlockSolver::solve_multi`]), amortising matrix traffic
+//!   sides for the same matrix into one multi-RHS solve
+//!   ([`recblock::RecBlockSolver::solve_multi_ws`]), which streams the
+//!   matrix once per panel of up to 8 columns — amortising matrix traffic
 //!   the same way the paper's multi-RHS runs do;
 //! * **bounded queues with backpressure** — [`SolveService::try_submit`]
 //!   fails fast with [`ServeError::Overloaded`] instead of letting latency

@@ -1,4 +1,4 @@
-//! Worker threads: drain batches, run the fused multi-RHS solve, answer.
+//! Worker threads: drain batches, run the multi-RHS solve, answer.
 
 use crate::batch::{Batch, BatchQueue, Pending};
 use crate::error::ServeError;
@@ -12,28 +12,33 @@ use std::time::Instant;
 
 /// Buffers one worker reuses across batches: the gathered input block, the
 /// solved output block, a single-RHS scratch, and the engine's
-/// [`SolveWorkspace`]. Whenever the `(n, k)` shape repeats — the common
-/// case of a stream of same-matrix requests — the steady state allocates
-/// nothing: each answer is written back into the request's own rhs buffer,
-/// which the transport layer recycles.
+/// [`SolveWorkspace`]. Every buffer is re-shaped in place and only grows,
+/// so once a worker has served its largest `n × k` batch the steady state
+/// allocates nothing, whatever mix of shapes follows: each answer is
+/// written back into the request's own rhs buffer, which the transport
+/// layer recycles.
 struct WorkerBuffers<S> {
-    input: Option<MultiVector<S>>,
-    out: Option<MultiVector<S>>,
+    input: MultiVector<S>,
+    out: MultiVector<S>,
     single: Vec<S>,
     ws: SolveWorkspace<S>,
 }
 
-pub(crate) fn run<S: Scalar>(queue: Arc<BatchQueue<S>>, metrics: Arc<Metrics>, max_batch: usize) {
-    let mut bufs =
-        WorkerBuffers { input: None, out: None, single: Vec::new(), ws: SolveWorkspace::new() };
-    while let Some(batch) = queue.next_batch(max_batch) {
-        solve_batch(batch, &metrics, &mut bufs);
+impl<S: Scalar> WorkerBuffers<S> {
+    fn new() -> Self {
+        WorkerBuffers {
+            input: MultiVector::zeros(0, 0),
+            out: MultiVector::zeros(0, 0),
+            single: Vec::new(),
+            ws: SolveWorkspace::new(),
+        }
     }
 }
 
-fn ensure_shape<S: Scalar>(slot: &mut Option<MultiVector<S>>, n: usize, k: usize) {
-    if !matches!(slot, Some(m) if m.n() == n && m.k() == k) {
-        *slot = Some(MultiVector::zeros(n, k));
+pub(crate) fn run<S: Scalar>(queue: Arc<BatchQueue<S>>, metrics: Arc<Metrics>, max_batch: usize) {
+    let mut bufs = WorkerBuffers::new();
+    while let Some(batch) = queue.next_batch(max_batch) {
+        solve_batch(batch, &metrics, &mut bufs);
     }
 }
 
@@ -105,16 +110,15 @@ fn gather_and_solve<S: Scalar>(
         }
     }
     let t0 = Instant::now();
-    ensure_shape(&mut bufs.input, n, k);
-    let b = bufs.input.as_mut().expect("just ensured");
+    let (b, out) = (&mut bufs.input, &mut bufs.out);
+    b.reshape(n, k);
     for (j, req) in requests.iter().enumerate() {
         b.col_mut(j).copy_from_slice(&req.rhs);
     }
-    ensure_shape(&mut bufs.out, n, k);
+    out.reshape(n, k);
     metrics.record_stage(Stage::BatchAssembly, t0.elapsed());
-    let out = bufs.out.as_mut().expect("just ensured");
     let t1 = Instant::now();
-    plan.solve_multi_ws(&*b, out, &mut bufs.ws)?;
+    plan.solve_multi_ws(b, out, &mut bufs.ws)?;
     metrics.record_stage(Stage::Solve, t1.elapsed());
     for (j, req) in requests.iter_mut().enumerate() {
         req.rhs.copy_from_slice(out.col(j));
@@ -149,8 +153,97 @@ mod tests {
     use crate::cache::PlanKey;
     use recblock::{RecBlockSolver, SolverOptions};
     use recblock_matrix::generate;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::mpsc;
     use std::time::Instant;
+
+    // Allocation counting for this test binary. The counter and its switch
+    // are thread-local, so tests running concurrently on other threads
+    // cannot pollute a count.
+    thread_local! {
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct CountingAlloc;
+
+    fn count_one() {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+        }
+    }
+
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_one();
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// Heap allocations the current thread performs while `f` runs.
+    fn allocations_during(f: impl FnOnce()) -> usize {
+        ALLOCS.with(|c| c.set(0));
+        COUNTING.with(|c| c.set(true));
+        f();
+        COUNTING.with(|c| c.set(false));
+        ALLOCS.with(Cell::get)
+    }
+
+    #[test]
+    fn alternating_batch_shapes_reuse_worker_buffers() {
+        use recblock::adaptive::{Selector, TriKernel};
+        use recblock::blocked::DepthRule;
+        use recblock_gpu_sim::cost::SpmvKind;
+        let l = generate::layered::<f64>(3000, 20, 2.0, generate::LayerShape::Uniform, 71);
+        let n = l.nrows();
+        // Schedule-based kernels only: the sync-free kernel allocates
+        // per-solve state by design.
+        let opts = SolverOptions {
+            depth: DepthRule::Fixed(2),
+            selector: Selector::Fixed(TriKernel::LevelSet, SpmvKind::ScalarCsr),
+            ..SolverOptions::default()
+        };
+        let plan = RecBlockSolver::new(&l, opts).unwrap();
+        let batch = |k: usize| -> Vec<Pending<f64>> {
+            (0..k)
+                .map(|j| Pending {
+                    rhs: (0..n).map(|i| ((i + 7 * j) % 13) as f64 - 6.0).collect(),
+                    reply: Reply::Channel(mpsc::channel().0),
+                    submitted: Instant::now(),
+                })
+                .collect()
+        };
+        let metrics = Metrics::default();
+        let mut bufs = WorkerBuffers::new();
+        let mut widest = batch(8);
+        gather_and_solve(&plan, &mut widest, n, 8, &mut bufs, &metrics).unwrap(); // warm-up
+        let mut batches: Vec<(usize, Vec<Pending<f64>>)> =
+            [3, 8, 2, 5, 3, 8].into_iter().map(|k| (k, batch(k))).collect();
+        let allocs = allocations_during(|| {
+            for (k, reqs) in &mut batches {
+                gather_and_solve(&plan, reqs, n, *k, &mut bufs, &metrics).unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "a batch shape change allocated worker buffers");
+    }
 
     #[test]
     fn worker_drains_and_answers_then_exits_on_shutdown() {
