@@ -1,8 +1,10 @@
-//! CPU wall-clock comparison of the four SpMV kernels on the block shapes
-//! the adaptive selector distinguishes (short uniform rows vs long skewed
-//! rows, dense vs hyper-sparse row population).
+//! CPU wall-clock comparison of the planned SpMV updates the blocked solve
+//! runs — CSR and DCSR storage — on the block shapes the adaptive selector
+//! distinguishes (short uniform rows vs long skewed rows, dense vs
+//! hyper-sparse row population).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use recblock_kernels::exec::{ExecPool, SpmvPlan, TuneParams};
 use recblock_kernels::spmv;
 use recblock_matrix::{generate, Csr, Dcsr};
 use std::time::Duration;
@@ -21,37 +23,27 @@ fn bench_spmv(c: &mut Criterion) {
     g.measurement_time(Duration::from_millis(800))
         .warm_up_time(Duration::from_millis(200))
         .sample_size(10);
+    let pool = ExecPool::global();
+    let tune = TuneParams::default();
     for (name, a) in blocks() {
         let ncols = a.ncols();
         let x: Vec<f64> = (0..ncols).map(|i| (i % 13) as f64 / 6.5 - 1.0).collect();
         let d: Dcsr<f64> = a.to_dcsr();
         let y0 = vec![0.0f64; a.nrows()];
 
-        g.bench_with_input(BenchmarkId::new("scalar_csr", name), &a, |bench, a| {
+        let plan = SpmvPlan::for_csr(&a, &tune);
+        g.bench_with_input(BenchmarkId::new("csr_planned", name), &a, |bench, a| {
             bench.iter_batched(
                 || y0.clone(),
-                |mut y| spmv::scalar_csr(a, &x, &mut y).unwrap(),
+                |mut y| spmv::csr_update_planned(a, &plan, &x, &mut y, pool).unwrap(),
                 BatchSize::LargeInput,
             )
         });
-        g.bench_with_input(BenchmarkId::new("vector_csr", name), &a, |bench, a| {
+        let dplan = SpmvPlan::for_dcsr(&d, &tune);
+        g.bench_with_input(BenchmarkId::new("dcsr_planned", name), &d, |bench, d| {
             bench.iter_batched(
                 || y0.clone(),
-                |mut y| spmv::vector_csr(a, &x, &mut y).unwrap(),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("scalar_dcsr", name), &d, |bench, d| {
-            bench.iter_batched(
-                || y0.clone(),
-                |mut y| spmv::scalar_dcsr(d, &x, &mut y).unwrap(),
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("vector_dcsr", name), &d, |bench, d| {
-            bench.iter_batched(
-                || y0.clone(),
-                |mut y| spmv::vector_dcsr(d, &x, &mut y).unwrap(),
+                |mut y| spmv::dcsr_update_planned(d, &dplan, &x, &mut y, pool).unwrap(),
                 BatchSize::LargeInput,
             )
         });

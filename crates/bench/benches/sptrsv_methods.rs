@@ -16,10 +16,9 @@ fn matrices() -> Vec<(&'static str, Csr<f64>)> {
             generate::layered::<f64>(20_000, 40, 3.0, generate::LayerShape::Uniform, 2),
         ),
         ("hub_20k", generate::hub_power_law::<f64>(20_000, 16, 3, 200, 3)),
-        // Level-heavy case: 100 levels wide enough (~300 rows) that the
-        // legacy path dispatched each one in parallel (allocate + collect +
-        // scatter per level) — the regime where the execution engine's
-        // preplanned in-place schedules pay off.
+        // Level-heavy case: 100 levels wide enough (~300 rows) that each
+        // one runs as a parallel launch — the regime where per-level
+        // synchronisation dominates.
         (
             "deep_layered_30k",
             generate::layered::<f64>(30_000, 100, 3.0, generate::LayerShape::Uniform, 5),
@@ -45,15 +44,7 @@ fn bench_sptrsv(c: &mut Criterion) {
             bench.iter(|| s.solve(&b).unwrap())
         });
 
-        // Before/after pair for the execution engine: the legacy per-level
-        // dispatch (collect + scatter) versus the preplanned zero-allocation
-        // schedule, on the same analysed solver.
         let mut x = vec![0.0f64; n];
-        g.bench_with_input(
-            BenchmarkId::new("levelset_legacy_into", name),
-            &levelset,
-            |bench, s| bench.iter(|| s.solve_into_unscheduled(&b, &mut x).unwrap()),
-        );
         g.bench_with_input(
             BenchmarkId::new("levelset_engine_into", name),
             &levelset,
@@ -69,11 +60,6 @@ fn bench_sptrsv(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("cusparse_like", name), &cusparse, |bench, s| {
             bench.iter(|| s.solve(&b).unwrap())
         });
-        g.bench_with_input(
-            BenchmarkId::new("cusparse_like_legacy", name),
-            &cusparse,
-            |bench, s| bench.iter(|| s.solve_legacy(&b).unwrap()),
-        );
         g.bench_with_input(
             BenchmarkId::new("cusparse_like_engine_into", name),
             &cusparse,

@@ -1,15 +1,15 @@
-//! Emit `BENCH_sptrsv.json`: median ns/solve per kernel × matrix, plus the
-//! legacy-versus-engine speedup of the execution engine on the solve hot
-//! path (preprocessing excluded — the repeated-solve regime of Table 5).
+//! Emit `BENCH_sptrsv.json`: median ns/solve per kernel × matrix on the
+//! solve hot path (preprocessing excluded — the repeated-solve regime of
+//! Table 5). The rows are the serial reference, the level-set and
+//! cuSPARSE-like engine schedules over the whole matrix, and the recblock
+//! plan untuned and tuned; each matrix also records a per-stage breakdown
+//! of one traced recblock solve.
 //!
 //! The corpus is level-heavy on purpose: hundreds of levels, each wide
-//! enough that the legacy path dispatched it in parallel — allocating a
-//! `Vec<(row, value)>`, collecting through rayon and scattering back, every
-//! level, every solve. The engine's preplanned schedules write disjoint
-//! `x` sub-slices in place instead, so that per-level overhead vanishes.
-//! `chain_5k` is the opposite extreme: one row per level, where every
-//! implementation sits on the same dependency-chain floor and the engine
-//! can only match, not beat, the legacy serial loop.
+//! enough to run as a parallel launch, so per-level synchronisation is what
+//! the schedules compete on. `chain_5k` is the opposite extreme: one row per
+//! level, where every schedule sits on the same dependency-chain floor as
+//! the serial loop and can only match it.
 //!
 //! Run with `cargo run --release -p recblock-bench --bin bench_sptrsv`.
 //!
@@ -67,8 +67,8 @@ fn median_ns(mut f: impl FnMut()) -> f64 {
 
 fn corpus() -> Vec<(&'static str, Csr<f64>)> {
     vec![
-        // 250 levels × 320 rows: deep AND wide — every level historically
-        // took the parallel collect/scatter path.
+        // 250 levels × 320 rows: deep AND wide — every level is a parallel
+        // launch.
         (
             "deep_layered_80k",
             generate::layered::<f64>(80_000, 250, 2.5, generate::LayerShape::Uniform, 4),
@@ -79,7 +79,7 @@ fn corpus() -> Vec<(&'static str, Csr<f64>)> {
             generate::layered::<f64>(30_000, 100, 3.0, generate::LayerShape::Uniform, 5),
         ),
         // Pure chain: one row per level, the fully serial extreme — parity
-        // with the legacy loop is the best any schedule can do here.
+        // with the serial loop is the best any schedule can do here.
         ("chain_5k", generate::chain::<f64>(5_000, 6)),
         // Shallow, wide control case.
         ("kkt_20k", generate::kkt_like::<f64>(20_000, 8_000, 4, 1)),
@@ -115,7 +115,7 @@ struct MatrixReport {
 
 /// Run one traced blocked solve and fold the event stream into per-stage
 /// totals. `BlockTri` events are attributed to the kernel the selector
-/// chose for that block (via the plan's [`SelectionReport`]), so the
+/// chose for that block (via the plan's [`recblock::SelectionReport`]), so the
 /// breakdown reads `block_tri:level-set` rather than an opaque block index.
 fn trace_blocked_solve(
     blocked: &BlockedTri<f64>,
@@ -318,21 +318,11 @@ fn main() {
             }),
         ));
 
-        let ls = LevelSetSolver::with_levels(l.clone(), levels.clone());
-        kernels.push((
-            "levelset_legacy",
-            median_ns(|| ls.solve_into_unscheduled(&b, black_box(&mut x)).unwrap()),
-        ));
+        let ls = LevelSetSolver::with_levels(l.clone(), levels.clone()).unwrap();
         kernels
             .push(("levelset_engine", median_ns(|| ls.solve_into(&b, black_box(&mut x)).unwrap())));
 
-        let cu = CusparseLikeSolver::with_levels(l.clone(), levels.clone()).unwrap();
-        kernels.push((
-            "cusparse_like_legacy",
-            median_ns(|| {
-                black_box(cu.solve_legacy(&b).unwrap());
-            }),
-        ));
+        let cu = CusparseLikeSolver::with_levels(l.clone(), levels).unwrap();
         kernels.push((
             "cusparse_like_engine",
             median_ns(|| cu.solve_into(&b, black_box(&mut x)).unwrap()),
@@ -364,7 +354,6 @@ fn main() {
         // are measured with tracing disabled.
         let trace = trace_blocked_solve(&blocked, &b, &mut x, &mut ws);
 
-        let get = |k: &str| kernels.iter().find(|(kk, _)| *kk == k).unwrap().1;
         println!(
             "{name}: n={n} nnz={} levels={nlevels} schedule_mode={schedule_mode} \
              tuned={tuned} ({tune_winner})",
@@ -373,14 +362,6 @@ fn main() {
         for (k, ns) in &kernels {
             println!("  {k:<22} {:>12.0} ns/solve", ns);
         }
-        println!(
-            "  speedup levelset legacy/engine:      {:.2}x",
-            get("levelset_legacy") / get("levelset_engine")
-        );
-        println!(
-            "  speedup cusparse_like legacy/engine: {:.2}x",
-            get("cusparse_like_legacy") / get("cusparse_like_engine")
-        );
         println!("  recblock stage breakdown (one traced solve):");
         for (label, count, ns) in &trace {
             println!("    {label:<28} {count:>5} events {ns:>12} ns");

@@ -10,6 +10,7 @@ use recblock::column::ColumnBlockSolver;
 use recblock::recursive::RecursiveBlockSolver;
 use recblock::row::RowBlockSolver;
 use recblock_gpu_sim::DeviceSpec;
+use recblock_kernels::trace::{EventKind, SolveTrace};
 use recblock_matrix::{Csr, Scalar};
 
 /// Part counts swept (powers of two, as in the figure).
@@ -80,34 +81,59 @@ pub fn spmv_times_at<S: Scalar>(l: &Csr<S>, parts: usize, cfg: &HarnessConfig) -
 
 /// CPU-measured variant: wall-clock SpMV-part times of the three block
 /// algorithms on this machine (the paper's Figure 4 methodology, CPU
-/// substrate). Each cell averages `repeats` instrumented solves.
+/// substrate). Each cell averages the SpMV time of `repeats` solves, taken
+/// from the solve trace.
 pub fn run_measured(extra: usize, parts: &[usize], repeats: usize) -> String {
     let reps = representatives();
     let mut out = String::new();
     out.push_str("== Figure 4 (CPU-measured): wall-clock SpMV-part time (ms) ==\n");
-    let sel = Selector::default();
     for rep in [&reps[2], &reps[3]] {
         let l = rep.build_shrunk::<f64>(extra);
-        let n = l.nrows();
-        let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
-        out.push_str(&format!("\n-- {} (n = {}, nnz = {}) --\n", rep.name, n, l.nnz()));
+        out.push_str(&format!("\n-- {} (n = {}, nnz = {}) --\n", rep.name, l.nrows(), l.nnz()));
         let mut t = Table::new(["parts", "col (ms)", "row (ms)", "rec (ms)"]);
         for &p in parts {
-            let depth = p.trailing_zeros() as usize;
-            let col = ColumnBlockSolver::new(&l, p, &sel, 4).expect("solvable");
-            let row = RowBlockSolver::new(&l, p, &sel, 4).expect("solvable");
-            let rec = RecursiveBlockSolver::new(&l, depth, &sel, 4).expect("solvable");
-            let avg = |f: &dyn Fn() -> f64| -> f64 {
-                (0..repeats).map(|_| f()).sum::<f64>() / repeats as f64
-            };
-            let c = avg(&|| col.solve_instrumented(&b).expect("solve").1.spmv_s);
-            let r = avg(&|| row.solve_instrumented(&b).expect("solve").1.spmv_s);
-            let q = avg(&|| rec.solve_instrumented(&b).expect("solve").1.spmv_s);
+            let (c, r, q) = measured_spmv_times(&l, p, repeats);
             t.row([p.to_string(), fmt_ms(c), fmt_ms(r), fmt_ms(q)]);
         }
         out.push_str(&t.render());
     }
     out
+}
+
+/// Wall-clock SpMV seconds per solve `(col, row, rec)` of the three block
+/// algorithms at `parts` parts, averaged over `repeats` solves. The SpMV
+/// time of a solve is the sum of the [`SolveTrace`] `SpmvCsr`/`SpmvDcsr`
+/// events its square and rectangular blocks record; tracing is enabled for
+/// the measurement and disabled again before returning.
+fn measured_spmv_times(l: &Csr<f64>, parts: usize, repeats: usize) -> (f64, f64, f64) {
+    let sel = Selector::default();
+    let depth = parts.trailing_zeros() as usize;
+    let col = ColumnBlockSolver::new(l, parts, &sel, 4).expect("solvable");
+    let row = RowBlockSolver::new(l, parts, &sel, 4).expect("solvable");
+    let rec = RecursiveBlockSolver::new(l, depth, &sel, 4).expect("solvable");
+    let b: Vec<f64> = (0..l.nrows()).map(|i| (i % 13) as f64 - 6.0).collect();
+    SolveTrace::enable();
+    let avg = |solve: &dyn Fn()| -> f64 {
+        let ns: u64 = (0..repeats)
+            .map(|_| {
+                solve();
+                // Drained per solve so a many-part solve cannot wrap the ring.
+                SolveTrace::drain()
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::SpmvCsr | EventKind::SpmvDcsr))
+                    .map(|e| e.ns)
+                    .sum::<u64>()
+            })
+            .sum();
+        ns as f64 * 1e-9 / repeats.max(1) as f64
+    };
+    let times = (
+        avg(&|| drop(col.solve(&b).expect("solve"))),
+        avg(&|| drop(row.solve(&b).expect("solve"))),
+        avg(&|| drop(rec.solve(&b).expect("solve"))),
+    );
+    SolveTrace::disable();
+    times
 }
 
 #[cfg(test)]
@@ -124,11 +150,26 @@ mod tests {
         assert!(rec <= row, "rec {rec} vs row {row}");
     }
 
+    /// Serialises the tests that switch the process-wide trace on and off.
+    static TRACE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn measured_mode_runs() {
+        let _trace = TRACE.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_measured(16, &[4, 8], 1);
         assert!(r.contains("CPU-measured"));
         assert!(r.contains("kkt_power-s"));
+    }
+
+    #[test]
+    fn measured_spmv_time_is_positive_and_tracing_ends_disabled() {
+        let _trace = TRACE.lock().unwrap_or_else(|e| e.into_inner());
+        let l = representatives()[2].build_shrunk::<f64>(16);
+        for parts in [2, 8] {
+            let (col, row, rec) = measured_spmv_times(&l, parts, 2);
+            assert!(col > 0.0 && row > 0.0 && rec > 0.0, "parts {parts}: {col} {row} {rec}");
+            assert!(!SolveTrace::is_enabled(), "measurement must switch tracing off again");
+        }
     }
 
     #[test]

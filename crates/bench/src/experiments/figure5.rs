@@ -325,7 +325,7 @@ fn fastest_tri(
 /// smaller than the model sweep because every cell costs real solves.
 pub fn run_measured(cell_rows: usize, repeats: usize) -> String {
     use recblock::adaptive::tuning::BestKernelGrid;
-    use recblock_kernels::{spmv, sptrsv};
+    use recblock_kernels::{spmv, sptrsv, ExecPool, SpmvPlan, TuneParams};
     use recblock_matrix::generate;
     use std::time::Instant;
 
@@ -402,19 +402,25 @@ pub fn run_measured(cell_rows: usize, repeats: usize) -> String {
         out.push('\n');
     }
 
-    // SpMV grid over generated rectangular blocks.
+    // SpMV grid over generated rectangular blocks, timing the planned
+    // updates the blocked solve runs. On the CPU engine the scalar and
+    // vector kinds of one storage run the same planned update, so the grid
+    // compares the storage formats: 's' (CSR) against 'd' (DCSR).
+    let pool = ExecPool::global();
+    let tune = TuneParams::default();
     let sq_time = |k: SpmvKind, nnz_per_row: f64, empty: f64| -> f64 {
         let a = generate::rect_random::<f64>(cell_rows, cell_rows, nnz_per_row, empty, 0.0, 78);
         let d = a.to_dcsr();
+        let (plan, dplan) = (SpmvPlan::for_csr(&a, &tune), SpmvPlan::for_dcsr(&d, &tune));
         let x = vec![1.0f64; cell_rows];
         let mut y = vec![0.0f64; cell_rows];
+        let dcsr = matches!(k, SpmvKind::ScalarDcsr | SpmvKind::VectorDcsr);
         let t0 = Instant::now();
         for _ in 0..repeats {
-            match k {
-                SpmvKind::ScalarCsr => spmv::scalar_csr(&a, &x, &mut y).unwrap(),
-                SpmvKind::VectorCsr => spmv::vector_csr(&a, &x, &mut y).unwrap(),
-                SpmvKind::ScalarDcsr => spmv::scalar_dcsr(&d, &x, &mut y).unwrap(),
-                SpmvKind::VectorDcsr => spmv::vector_dcsr(&d, &x, &mut y).unwrap(),
+            if dcsr {
+                spmv::dcsr_update_planned(&d, &dplan, &x, &mut y, pool).unwrap();
+            } else {
+                spmv::csr_update_planned(&a, &plan, &x, &mut y, pool).unwrap();
             }
         }
         t0.elapsed().as_secs_f64() / repeats as f64
@@ -422,10 +428,10 @@ pub fn run_measured(cell_rows: usize, repeats: usize) -> String {
     let g = BestKernelGrid::collect(
         vec![2.0, 8.0, 24.0, 64.0],
         vec![0.0, 0.3, 0.6, 0.9],
-        &SpmvKind::ALL,
+        &[SpmvKind::ScalarCsr, SpmvKind::ScalarDcsr],
         sq_time,
     );
-    out.push_str("SpMV (emptyratio rows, nnz/row cols):\n");
+    out.push_str("SpMV (emptyratio rows, nnz/row cols; planned CSR 's' vs DCSR 'd'):\n");
     for (yi, y) in g.y_values.iter().enumerate() {
         out.push_str(&format!("  {:>7.0}%: ", y * 100.0));
         for xi in 0..g.x_values.len() {

@@ -18,7 +18,7 @@
 use crate::adaptive::{Selector, TriKernel};
 use crate::explain::{self, BlockDecision, BlockDecisionKind, LevelShape, SelectionReport};
 use crate::partition::{self, PlanNode};
-use crate::report::{SimBreakdown, SolveBreakdown};
+use crate::report::SimBreakdown;
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
 use crate::trisolver::TriSolver;
@@ -30,6 +30,7 @@ use recblock_kernels::trace::{EventKind, SolveTrace};
 use recblock_matrix::permute::Permutation;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 pub use recblock_kernels::exec::SolveWorkspace;
@@ -263,34 +264,7 @@ impl<S: Scalar> BlockedTri<S> {
         // Blocks are independent once the matrix is reordered: extract,
         // profile and preprocess them in parallel (this is the bulk of the
         // Table 5 preprocessing cost).
-        use rayon::prelude::*;
-        let blocks: Vec<Block<S>> = plan
-            .into_par_iter()
-            .map(|node| -> Result<Block<S>, MatrixError> {
-                match node {
-                    PlanNode::Tri { rows } => {
-                        let tri = matrix.submatrix(rows.clone(), rows.clone());
-                        let (solver, profile) = TriSolver::build_adaptive_tuned(
-                            tri,
-                            &opts.selector,
-                            opts.syncfree_threads,
-                            opts.tune,
-                        )?;
-                        Ok(Block {
-                            rows: rows.clone(),
-                            cols: rows,
-                            data: BlockData::Tri { solver, profile },
-                        })
-                    }
-                    PlanNode::Square { rows, cols } => {
-                        let sq = matrix.submatrix(rows.clone(), cols.clone());
-                        let solver =
-                            SqSolver::build_tuned(sq, &opts.selector, opts.allow_dcsr, opts.tune);
-                        Ok(Block { rows, cols, data: BlockData::Square(solver) })
-                    }
-                }
-            })
-            .collect::<Result<_, _>>()?;
+        let blocks = build_blocks(&plan, &matrix, opts)?;
         let report = make_report(
             n,
             l.nnz(),
@@ -538,9 +512,11 @@ impl<S: Scalar> BlockedTri<S> {
         census
     }
 
-    /// Solve `L x = b`.
+    /// Solve `L x = b`: [`BlockedTri::solve_into`] on a fresh workspace.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        Ok(self.solve_instrumented(b)?.0)
+        let mut x = vec![S::ZERO; self.n];
+        self.solve_into(b, &mut x, &mut SolveWorkspace::new())?;
+        Ok(x)
     }
 
     /// Solve into caller-provided buffers, reusing a [`SolveWorkspace`] so
@@ -630,58 +606,15 @@ impl<S: Scalar> BlockedTri<S> {
         Ok(())
     }
 
-    /// Solve and report the wall-clock tri/SpMV split.
-    pub fn solve_instrumented(&self, b: &[S]) -> Result<(Vec<S>, SolveBreakdown), MatrixError> {
-        if b.len() != self.n {
-            return Err(MatrixError::DimensionMismatch {
-                what: "blocked rhs",
-                expected: self.n,
-                actual: b.len(),
-            });
-        }
-        let mut work = self.perm.gather(b);
-        let mut x = vec![S::ZERO; self.n];
-        let mut br = SolveBreakdown::default();
-        for block in &self.blocks {
-            match &block.data {
-                BlockData::Tri { solver, .. } => {
-                    let t0 = Instant::now();
-                    let xs = solver.solve(&work[block.rows.clone()])?;
-                    br.tri_s += t0.elapsed().as_secs_f64();
-                    x[block.rows.clone()].copy_from_slice(&xs);
-                }
-                BlockData::Square(sq) => {
-                    let t1 = Instant::now();
-                    sq.apply(&x[block.cols.clone()], &mut work[block.rows.clone()])?;
-                    br.spmv_s += t1.elapsed().as_secs_f64();
-                }
-            }
-        }
-        Ok((self.perm.scatter(&x), br))
-    }
-
-    /// Multi-right-hand-side solve `L X = B`, one pass over the matrix per
-    /// panel of up to 8 columns (see [`BlockedTri::solve_multi_ws`]).
+    /// Multi-right-hand-side solve `L X = B`: [`BlockedTri::solve_multi_ws`]
+    /// on a fresh workspace.
     pub fn solve_multi(
         &self,
         b: &recblock_kernels::sptrsm::MultiVector<S>,
     ) -> Result<recblock_kernels::sptrsm::MultiVector<S>, MatrixError> {
         let mut out = recblock_kernels::sptrsm::MultiVector::zeros(self.n, b.k());
-        self.solve_multi_into(b, &mut out)?;
+        self.solve_multi_ws(b, &mut out, &mut SolveWorkspace::new())?;
         Ok(out)
-    }
-
-    /// As [`BlockedTri::solve_multi`], writing into a caller-provided
-    /// output batch — a serving layer reuses the same output buffer across
-    /// requests instead of allocating per batch. Allocates a throwaway
-    /// workspace; use [`BlockedTri::solve_multi_ws`] to reuse one.
-    pub fn solve_multi_into(
-        &self,
-        b: &recblock_kernels::sptrsm::MultiVector<S>,
-        out: &mut recblock_kernels::sptrsm::MultiVector<S>,
-    ) -> Result<(), MatrixError> {
-        let mut ws = SolveWorkspace::new();
-        self.solve_multi_ws(b, out, &mut ws)
     }
 
     /// The multi-RHS path, with a caller-held [`SolveWorkspace`].
@@ -695,7 +628,7 @@ impl<S: Scalar> BlockedTri<S> {
     /// transpose-scattered back into `out`. Every column is bit-identical
     /// to [`BlockedTri::solve_into`] on it. A plan with a sync-free block
     /// solves column by column instead: the CSC sync-free kernel has no
-    /// deterministic multi-column form.
+    /// multi-column form.
     ///
     /// The workspace only grows, so once it has held the widest panel,
     /// batches of any width run with zero heap allocations.
@@ -805,6 +738,72 @@ impl<S: Scalar> BlockedTri<S> {
     pub fn simulated_prep_time(&self, params: &CostParams) -> f64 {
         recblock_gpu_sim::cost::block_prep_time(self.nnz, params)
     }
+}
+
+/// Extract, profile and preprocess every plan node, returning the blocks in
+/// plan order. Several nodes build on a `std::thread::scope` team of
+/// `min(available_parallelism, nodes)` threads, each claiming the next node
+/// from an atomic cursor; a single node builds inline.
+fn build_blocks<S: Scalar>(
+    plan: &[PlanNode],
+    matrix: &Csr<S>,
+    opts: &BlockedOptions,
+) -> Result<Vec<Block<S>>, MatrixError> {
+    let nthreads = std::thread::available_parallelism().map_or(1, |p| p.get()).min(plan.len());
+    if nthreads <= 1 {
+        return plan.iter().map(|node| build_block(node, matrix, opts)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut built: Vec<(usize, Result<Block<S>, MatrixError>)> = std::thread::scope(|scope| {
+        let team: Vec<_> = (0..nthreads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(node) = plan.get(i) else { return mine };
+                        mine.push((i, build_block(node, matrix, opts)));
+                    }
+                })
+            })
+            .collect();
+        team.into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, block)| block).collect()
+}
+
+/// Build one block of the reordered `matrix`: a triangular leaf gets the
+/// SpTRSV kernel the selection chooses, a square block its SpMV kernel and
+/// storage.
+fn build_block<S: Scalar>(
+    node: &PlanNode,
+    matrix: &Csr<S>,
+    opts: &BlockedOptions,
+) -> Result<Block<S>, MatrixError> {
+    Ok(match node {
+        PlanNode::Tri { rows } => {
+            let tri = matrix.submatrix(rows.clone(), rows.clone());
+            let (solver, profile) = TriSolver::build_adaptive_tuned(
+                tri,
+                &opts.selector,
+                opts.syncfree_threads,
+                opts.tune,
+            )?;
+            Block {
+                rows: rows.clone(),
+                cols: rows.clone(),
+                data: BlockData::Tri { solver, profile },
+            }
+        }
+        PlanNode::Square { rows, cols } => {
+            let sq = matrix.submatrix(rows.clone(), cols.clone());
+            let solver = SqSolver::build_tuned(sq, &opts.selector, opts.allow_dcsr, opts.tune);
+            Block { rows: rows.clone(), cols: cols.clone(), data: BlockData::Square(solver) }
+        }
+    })
 }
 
 /// Assemble the explainability report for a built (or reloaded) block list.

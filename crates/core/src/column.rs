@@ -8,14 +8,13 @@
 //! disadvantage quantified in Table 1.
 
 use crate::adaptive::Selector;
-use crate::report::{SimBreakdown, SolveBreakdown};
+use crate::report::SimBreakdown;
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
 use crate::trisolver::TriSolver;
 use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
-use std::time::Instant;
 
 /// A preprocessed column-block solver.
 #[derive(Debug, Clone)]
@@ -68,11 +67,6 @@ impl<S: Scalar> ColumnBlockSolver<S> {
 
     /// Solve `L x = b`.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        Ok(self.solve_instrumented(b)?.0)
-    }
-
-    /// Solve and report the wall-clock tri/SpMV split (Figure 4's metric).
-    pub fn solve_instrumented(&self, b: &[S]) -> Result<(Vec<S>, SolveBreakdown), MatrixError> {
         if b.len() != self.n {
             return Err(MatrixError::DimensionMismatch {
                 what: "column block rhs",
@@ -82,19 +76,13 @@ impl<S: Scalar> ColumnBlockSolver<S> {
         }
         let mut work = b.to_vec();
         let mut x = vec![S::ZERO; self.n];
-        let mut br = SolveBreakdown::default();
         for (si, seg) in self.segments.iter().enumerate() {
-            let t0 = Instant::now();
-            let xs = self.tris[si].0.solve(&work[seg.clone()])?;
-            br.tri_s += t0.elapsed().as_secs_f64();
-            x[seg.clone()].copy_from_slice(&xs);
+            self.tris[si].0.solve_into(&work[seg.clone()], &mut x[seg.clone()])?;
             if si < self.rects.len() {
-                let t1 = Instant::now();
                 self.rects[si].apply(&x[seg.clone()], &mut work[seg.end..])?;
-                br.spmv_s += t1.elapsed().as_secs_f64();
             }
         }
-        Ok((x, br))
+        Ok(x)
     }
 
     /// Predicted GPU time per part under the cost model.
@@ -169,15 +157,6 @@ mod tests {
             assert_eq!(t.b_updates as f64, crate::traffic::column_b_updates(n, parts));
             assert_eq!(t.x_loads as f64, crate::traffic::column_x_loads(n, parts));
         }
-    }
-
-    #[test]
-    fn instrumented_breakdown_sums() {
-        let l = generate::random_lower::<f64>(400, 4.0, 18);
-        let s = ColumnBlockSolver::new(&l, 4, &Selector::default(), 2).unwrap();
-        let (_, br) = s.solve_instrumented(&vec![1.0; 400]).unwrap();
-        assert!(br.tri_s >= 0.0 && br.spmv_s >= 0.0);
-        assert!(br.total_s() > 0.0);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! buys (an ablation bench compares them).
 
 use crate::adaptive::Selector;
-use crate::report::{SimBreakdown, SolveBreakdown};
+use crate::report::SimBreakdown;
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
 use crate::trisolver::TriSolver;
 use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
-use std::time::Instant;
 
 /// One node of the recursion tree.
 #[derive(Debug, Clone)]
@@ -72,11 +71,6 @@ impl<S: Scalar> RecursiveBlockSolver<S> {
 
     /// Solve `L x = b`.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        Ok(self.solve_instrumented(b)?.0)
-    }
-
-    /// Solve and report the wall-clock tri/SpMV split.
-    pub fn solve_instrumented(&self, b: &[S]) -> Result<(Vec<S>, SolveBreakdown), MatrixError> {
         if b.len() != self.n {
             return Err(MatrixError::DimensionMismatch {
                 what: "recursive block rhs",
@@ -86,9 +80,8 @@ impl<S: Scalar> RecursiveBlockSolver<S> {
         }
         let mut work = b.to_vec();
         let mut x = vec![S::ZERO; self.n];
-        let mut br = SolveBreakdown::default();
-        solve_node(&self.root, &mut work, &mut x, &mut br)?;
-        Ok((x, br))
+        solve_node(&self.root, &mut work, &mut x)?;
+        Ok(x)
     }
 
     /// Predicted GPU time per part under the cost model.
@@ -124,26 +117,13 @@ fn build<S: Scalar>(
     Ok(Node::Internal { top: Box::new(top), square, sq_rows, sq_cols, bottom: Box::new(bottom) })
 }
 
-fn solve_node<S: Scalar>(
-    node: &Node<S>,
-    work: &mut [S],
-    x: &mut [S],
-    br: &mut SolveBreakdown,
-) -> Result<(), MatrixError> {
+fn solve_node<S: Scalar>(node: &Node<S>, work: &mut [S], x: &mut [S]) -> Result<(), MatrixError> {
     match node {
-        Node::Leaf { rows, tri, .. } => {
-            let t0 = Instant::now();
-            let xs = tri.solve(&work[rows.clone()])?;
-            br.tri_s += t0.elapsed().as_secs_f64();
-            x[rows.clone()].copy_from_slice(&xs);
-            Ok(())
-        }
+        Node::Leaf { rows, tri, .. } => tri.solve_into(&work[rows.clone()], &mut x[rows.clone()]),
         Node::Internal { top, square, sq_rows, sq_cols, bottom } => {
-            solve_node(top, work, x, br)?;
-            let t1 = Instant::now();
+            solve_node(top, work, x)?;
             square.apply(&x[sq_cols.clone()], &mut work[sq_rows.clone()])?;
-            br.spmv_s += t1.elapsed().as_secs_f64();
-            solve_node(bottom, work, x, br)
+            solve_node(bottom, work, x)
         }
     }
 }

@@ -1,23 +1,6 @@
-//! Shared timing-report types for the block solvers.
+//! The simulated-GPU timing split shared by the block solvers.
 
 use recblock_gpu_sim::KernelTime;
-
-/// Wall-clock split of one CPU solve into its triangular and SpMV parts —
-/// the quantity Figure 4 of the paper plots (its y-axis is the SpMV part).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SolveBreakdown {
-    /// Seconds spent in triangular-block solves.
-    pub tri_s: f64,
-    /// Seconds spent in square/rectangular SpMV updates.
-    pub spmv_s: f64,
-}
-
-impl SolveBreakdown {
-    /// Total wall time.
-    pub fn total_s(&self) -> f64 {
-        self.tri_s + self.spmv_s
-    }
-}
 
 /// Simulated-GPU split of one solve.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,16 +15,5 @@ impl SimBreakdown {
     /// Combined predicted kernel time.
     pub fn total(&self) -> KernelTime {
         self.tri.seq(self.spmv)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn breakdown_total() {
-        let b = SolveBreakdown { tri_s: 1.0, spmv_s: 2.5 };
-        assert_eq!(b.total_s(), 3.5);
     }
 }

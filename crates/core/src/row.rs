@@ -7,14 +7,13 @@
 //! the row method's `x`-load traffic explodes with the part count (Table 2).
 
 use crate::adaptive::Selector;
-use crate::report::{SimBreakdown, SolveBreakdown};
+use crate::report::SimBreakdown;
 use crate::sqsolver::SqSolver;
 use crate::traffic::TrafficCounts;
 use crate::trisolver::TriSolver;
 use recblock_gpu_sim::{CostParams, DeviceSpec, TriProfile};
 use recblock_matrix::{Csr, MatrixError, Scalar};
 use std::ops::Range;
-use std::time::Instant;
 
 /// A preprocessed row-block solver.
 #[derive(Debug, Clone)]
@@ -67,11 +66,6 @@ impl<S: Scalar> RowBlockSolver<S> {
 
     /// Solve `L x = b`.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        Ok(self.solve_instrumented(b)?.0)
-    }
-
-    /// Solve and report the wall-clock tri/SpMV split.
-    pub fn solve_instrumented(&self, b: &[S]) -> Result<(Vec<S>, SolveBreakdown), MatrixError> {
         if b.len() != self.n {
             return Err(MatrixError::DimensionMismatch {
                 what: "row block rhs",
@@ -80,22 +74,16 @@ impl<S: Scalar> RowBlockSolver<S> {
             });
         }
         let mut x = vec![S::ZERO; self.n];
-        let mut br = SolveBreakdown::default();
         let mut seg_rhs: Vec<S> = Vec::new();
         for (si, seg) in self.segments.iter().enumerate() {
             seg_rhs.clear();
             seg_rhs.extend_from_slice(&b[seg.clone()]);
             if si > 0 {
-                let t1 = Instant::now();
                 self.rects[si - 1].apply(&x[..seg.start], &mut seg_rhs)?;
-                br.spmv_s += t1.elapsed().as_secs_f64();
             }
-            let t0 = Instant::now();
-            let xs = self.tris[si].0.solve(&seg_rhs)?;
-            br.tri_s += t0.elapsed().as_secs_f64();
-            x[seg.clone()].copy_from_slice(&xs);
+            self.tris[si].0.solve_into(&seg_rhs, &mut x[seg.clone()])?;
         }
-        Ok((x, br))
+        Ok(x)
     }
 
     /// Predicted GPU time per part under the cost model.

@@ -1,7 +1,7 @@
 //! High-level solver API: preprocess once, solve many right-hand sides.
 
 use crate::blocked::{BlockedOptions, BlockedTri, KernelCensus, SolveWorkspace};
-use crate::report::{SimBreakdown, SolveBreakdown};
+use crate::report::SimBreakdown;
 use crate::traffic::TrafficCounts;
 use recblock_gpu_sim::{CostParams, DeviceSpec, KernelTime};
 use recblock_matrix::{Csr, MatrixError, Scalar};
@@ -81,11 +81,6 @@ impl<S: Scalar> RecBlockSolver<S> {
         self.blocked.solve_into(b, x, ws)
     }
 
-    /// Solve with the wall-clock tri/SpMV split.
-    pub fn solve_instrumented(&self, b: &[S]) -> Result<(Vec<S>, SolveBreakdown), MatrixError> {
-        self.blocked.solve_instrumented(b)
-    }
-
     /// Solve for several right-hand sides (columns of `B`, column-major),
     /// reusing the preprocessing — the multi-RHS scenario of Table 5. The
     /// block list is walked once per panel of up to 8 columns
@@ -97,18 +92,9 @@ impl<S: Scalar> RecBlockSolver<S> {
         self.blocked.solve_multi(b)
     }
 
-    /// As [`RecBlockSolver::solve_multi`], writing into a caller-provided
-    /// output batch ([`BlockedTri::solve_multi_into`]).
-    pub fn solve_multi_into(
-        &self,
-        b: &recblock_kernels::sptrsm::MultiVector<S>,
-        out: &mut recblock_kernels::sptrsm::MultiVector<S>,
-    ) -> Result<(), MatrixError> {
-        self.blocked.solve_multi_into(b, out)
-    }
-
-    /// As [`RecBlockSolver::solve_multi_into`] with a caller-held workspace
-    /// ([`BlockedTri::solve_multi_ws`]) — zero-allocation batch solves.
+    /// As [`RecBlockSolver::solve_multi`] with a caller-held workspace and
+    /// output batch ([`BlockedTri::solve_multi_ws`]) — zero-allocation
+    /// batch solves.
     pub fn solve_multi_ws(
         &self,
         b: &recblock_kernels::sptrsm::MultiVector<S>,

@@ -5,7 +5,7 @@ use crate::adaptive::TriKernel;
 use recblock_gpu_sim::{CostParams, DeviceSpec, KernelTime, TriProfile};
 use recblock_kernels::exec::{ExecPool, TuneParams};
 use recblock_kernels::sptrsv::{
-    parallel_diag, parallel_diag_panel, CusparseLikeSolver, LevelSetSolver, SyncFreeSolver,
+    parallel_diag_panel, CusparseLikeSolver, LevelSetSolver, SyncFreeSolver,
 };
 use recblock_kernels::trace::{EventKind, SolveTrace};
 use recblock_matrix::levelset::LevelSets;
@@ -50,7 +50,7 @@ impl<S: Scalar> TriSolver<S> {
         Ok(match kernel {
             TriKernel::CompletelyParallel => TriSolver::Diag(l),
             TriKernel::LevelSet => {
-                TriSolver::LevelSet(LevelSetSolver::with_tune(l, levels.clone(), tune))
+                TriSolver::LevelSet(LevelSetSolver::with_tune(l, levels.clone(), tune)?)
             }
             TriKernel::SyncFree => {
                 TriSolver::SyncFree(SyncFreeSolver::with_threads(&l, syncfree_threads)?)
@@ -99,7 +99,7 @@ impl<S: Scalar> TriSolver<S> {
                 s.matrix().clone(),
                 s.levels().clone(),
                 tune,
-            )),
+            )?),
             TriSolver::SyncFree(s) => TriSolver::SyncFree(s.clone()),
             TriSolver::Cusparse(s) => TriSolver::Cusparse(CusparseLikeSolver::with_levels_tuned(
                 s.matrix().clone(),
@@ -170,16 +170,6 @@ impl<S: Scalar> TriSolver<S> {
         }
     }
 
-    /// Solve `L x = b` for this block.
-    pub fn solve(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        match self {
-            TriSolver::Diag(l) => parallel_diag(l, b),
-            TriSolver::LevelSet(s) => s.solve(b),
-            TriSolver::SyncFree(s) => s.solve(b),
-            TriSolver::Cusparse(s) => s.solve(b),
-        }
-    }
-
     /// Solve `L x = b` into a caller-provided buffer — the steady-state hot
     /// path. The schedule-based variants (diag, level-set, cuSPARSE-like)
     /// execute preplanned schedules with zero heap allocations; the
@@ -193,8 +183,8 @@ impl<S: Scalar> TriSolver<S> {
     /// Solve `W` right-hand sides held as row-interleaved panels (`n·W`
     /// entries, row `i` of column `j` at `i·W + j`) in one pass over the
     /// block; each column is bit-identical to [`TriSolver::solve_into`] on
-    /// it. The sync-free variant has no deterministic multi-column form:
-    /// it solves single columns only, and a wider panel fails its
+    /// it. The sync-free variant has no multi-column form: it solves
+    /// single columns only, and a wider panel fails its
     /// right-hand-side length check.
     pub fn solve_panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
         let pool = ExecPool::global();
@@ -272,7 +262,8 @@ mod tests {
         let levels = LevelSets::analyse(&l).unwrap();
         let s = TriSolver::build(kernel, l, &levels, 4).unwrap();
         assert_eq!(s.kernel(), kernel);
-        let x = s.solve(&b).unwrap();
+        let mut x = vec![0.0; n];
+        s.solve_into(&b, &mut x).unwrap();
         assert!(max_rel_diff(&x, &reference) < 1e-10, "{:?}", kernel);
     }
 

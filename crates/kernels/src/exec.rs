@@ -181,12 +181,12 @@ pub(crate) fn row_dot_with<S: Scalar>(cols: &[usize], vals: &[S], get: impl Fn(u
 /// Deterministic sparse dot product `Σ vals[k]·x[cols[k]]`.
 ///
 /// Every kernel in the suite — the serial reference, the level-scheduled
-/// solvers, and all four SpMV variants — reduces through this one function,
-/// so for a given row the result is bit-identical no matter which kernel or
+/// solvers, and the SpMV updates — reduces through this one function, so
+/// for a given row the result is bit-identical no matter which kernel or
 /// thread count produced it. The lane-unrolled shape also gives the
 /// optimiser independent accumulation chains (SIMD/ILP friendly). On
-/// AVX2-capable x86-64 hosts rows of at least [`simd::MIN_SIMD_NNZ`]
-/// nonzeros take an explicit gather/multiply/add vector path that performs
+/// AVX2-capable x86-64 hosts rows of at least `2 ×` [`LANES`] nonzeros
+/// take an explicit gather/multiply/add vector path that performs
 /// the *same* IEEE operations in the same order, so the result stays
 /// bit-identical to the portable reduction.
 #[inline]
@@ -578,13 +578,14 @@ struct Shared {
 
 /// A persistent worker pool with an allocation-free dispatch path.
 ///
-/// The vendored rayon shim spawns a scoped thread team per parallel region —
-/// fine for preprocessing, hopeless for a microsecond-scale solve phase.
-/// `ExecPool` keeps its workers parked on a condvar; dispatch publishes a
-/// borrowed closure (type-erased, no boxing), workers claim jobs from the
-/// epoch-tagged cursor, and the caller participates until the counter
-/// drains. Steady-state dispatch therefore performs **zero heap
-/// allocations**: futex-backed mutex/condvar operations and atomics only.
+/// A scoped thread team spawned per parallel region is fine for
+/// preprocessing (the blocked build uses one) but hopeless for a
+/// microsecond-scale solve phase. `ExecPool` keeps its workers parked on a
+/// condvar; dispatch publishes a borrowed closure (type-erased, no boxing),
+/// workers claim jobs from the epoch-tagged cursor, and the caller
+/// participates until the counter drains. Steady-state dispatch therefore
+/// performs **zero heap allocations**: futex-backed mutex/condvar
+/// operations and atomics only.
 ///
 /// Dispatches are serialised by a try-lock; a nested or concurrent `run`
 /// simply executes its jobs inline on the calling thread, which keeps the
@@ -959,10 +960,14 @@ impl LevelSchedule {
     /// `j` at `i·W + j`. `W = 1` is the single-column solve, and each
     /// column of a wider panel is bit-identical to it.
     ///
+    /// Crate-private: the parallel runs are race-free only on a matrix
+    /// whose levels were checked (`sptrsv::check_level_order`), which the
+    /// solvers owning a schedule guarantee.
+    ///
     /// # Panics
     /// If `l` is not the `n × n` matrix the schedule was planned for or the
     /// panels are not `n·W` long.
-    pub fn solve_panel<S: Scalar, const W: usize>(
+    pub(crate) fn solve_panel<S: Scalar, const W: usize>(
         &self,
         l: &Csr<S>,
         b: &[S],
@@ -1278,9 +1283,12 @@ impl TaskSchedule {
     /// `nthreads` jobs concurrently, or another dispatch holds the pool.
     /// Callers keep their [`LevelSchedule`] and fall back to it.
     ///
+    /// Crate-private for the same reason as [`LevelSchedule::solve_panel`]:
+    /// unchecked levels could race, or leave tasks waiting on each other.
+    ///
     /// # Panics
     /// As [`LevelSchedule::solve_panel`].
-    pub fn solve_panel<S: Scalar, const W: usize>(
+    pub(crate) fn solve_panel<S: Scalar, const W: usize>(
         &self,
         l: &Csr<S>,
         b: &[S],

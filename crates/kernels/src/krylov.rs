@@ -7,7 +7,6 @@
 //! systems), both over a [`Preconditioner`] trait so the triangular-solve
 //! backend — serial, or the recursive block solver — is pluggable.
 
-use rayon::prelude::*;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 
 /// Application of `z = M⁻¹ r` — one preconditioning step.
@@ -61,11 +60,7 @@ impl Default for KrylovOptions {
 }
 
 fn dot<S: Scalar>(a: &[S], b: &[S]) -> f64 {
-    if a.len() >= 16_384 {
-        a.par_iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
-    } else {
-        a.iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
-    }
+    a.iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
 }
 
 fn axpy<S: Scalar>(y: &mut [S], alpha: f64, x: &[S]) {

@@ -10,15 +10,16 @@
 //!   schedule (Algorithm 2), one parallel sweep per level with a barrier
 //!   between levels;
 //! * [`sptrsv::SyncFreeSolver`] — the synchronisation-free algorithm of Liu
-//!   et al. (Algorithm 3): CSC storage, atomic in-degree counters, atomic
-//!   accumulation, busy-waiting — one "kernel launch", no barriers;
+//!   et al. (Algorithm 3): CSC storage, producer-written per-entry update
+//!   slots, busy-waiting — one "kernel launch", no barriers;
 //! * [`sptrsv::CusparseLikeSolver`] — a cuSPARSE-csrsv2-style baseline:
 //!   a separate (expensive) analysis phase plus a level-scheduled solve that
 //!   merges small adjacent levels per launch, after Naumov's report.
 //!
-//! **Four SpMV kernels** for square/rectangular sub-matrices
-//! ([`spmv`]): scalar-CSR, vector-CSR, scalar-DCSR and vector-DCSR, all in
-//! the *update* form `y ← y − A·x` that the block algorithms consume.
+//! **SpMV updates** for square/rectangular sub-matrices ([`spmv`]): the
+//! *update* form `y ← y − A·x` that the block algorithms consume, over CSR
+//! or DCSR storage (the selector's scalar/vector distinction prices the GPU
+//! cost model; on the CPU both run one planned, nnz-balanced update).
 //!
 //! Plus the serial reference ([`sptrsv::serial_csr`]), multi-RHS solves
 //! ([`sptrsm`]) and an ILU(0) factorisation ([`ilu`]) used by the

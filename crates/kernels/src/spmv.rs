@@ -1,38 +1,30 @@
-//! The four SpMV kernels of the paper's adaptive selector (Section 3.4).
+//! SpMV for the square/rectangular blocks of the paper's adaptive selector
+//! (Section 3.4).
 //!
 //! All kernels compute the *update* form `y ← y − A·x`, which is what the
 //! block algorithms need: after a triangular segment of `x` is solved, the
 //! rectangular/square block multiplies it and subtracts from the pending
 //! right-hand side (`b_{si+1} ← SPMV(blk, x_si, b_si)` in Algorithms 4–6).
 //!
-//! * **scalar-CSR** — one thread per row; best for short, uniform rows.
-//! * **vector-CSR** — one warp (here: dynamic row scheduling) per row; best
-//!   for long rows, where the scalar kernel would be crippled by load
-//!   imbalance.
-//! * **scalar-DCSR / vector-DCSR** — same pair over [`Dcsr`] storage, which
-//!   skips empty rows entirely; best when `emptyratio` is high.
-//!
-//! Every kernel reduces each row through the deterministic lane-unrolled
-//! [`crate::exec::row_dot`], so all four compute **bit-identical** results —
-//! the pairs differ only in scheduling policy, which a deterministic
-//! reduction makes invisible in the output.
-//!
-//! The blocked executor does not call these four directly on its hot path:
-//! it uses the preplanned, allocation-free forms [`csr_update_panel`] /
+//! The selector's four kernels (scalar/vector × CSR/DCSR) pick a storage
+//! format and drive the GPU cost model; on the CPU the scalar and vector
+//! variants of one format run the same code. The blocked executor uses the
+//! preplanned, allocation-free forms [`csr_update_panel`] /
 //! [`dcsr_update_panel`] (single column: [`csr_update_planned`] /
 //! [`dcsr_update_planned`]), which split work at nnz-prefix-sum chunk
 //! boundaries computed once at preprocessing time ([`SpmvPlan`]) and write
 //! disjoint `y` sub-slices in place on the persistent [`ExecPool`].
+//!
+//! [`scalar_csr`] and [`scalar_dcsr`] are the serial reference loops the
+//! planned forms are tested against. Every form reduces each row through
+//! the deterministic lane-unrolled [`crate::exec::row_dot`], so all of them
+//! compute **bit-identical** results.
 
 use crate::exec::{
     prefetch_row, row_dot, row_dot_panel, ExecPool, SendPtr, SpmvPlan, ROW_PREFETCH_DIST,
 };
 use crate::trace::{EventKind, SolveTrace};
-use rayon::prelude::*;
 use recblock_matrix::{Csr, Dcsr, MatrixError, Scalar};
-
-/// Rows below which the parallel kernels fall back to serial execution.
-const PAR_THRESHOLD: usize = 512;
 
 fn check_dims<S: Scalar>(nrows: usize, ncols: usize, x: &[S], y: &[S]) -> Result<(), MatrixError> {
     if x.len() != ncols {
@@ -52,91 +44,23 @@ fn check_dims<S: Scalar>(nrows: usize, ncols: usize, x: &[S], y: &[S]) -> Result
     Ok(())
 }
 
-/// scalar-CSR: `y ← y − A·x`, one task per row, static uniform chunks.
+/// Serial reference `y ← y − A·x` over CSR, one row after another.
 pub fn scalar_csr<S: Scalar>(a: &Csr<S>, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
     check_dims(a.nrows(), a.ncols(), x, y)?;
-    if a.nrows() < PAR_THRESHOLD {
-        for (i, yi) in y.iter_mut().enumerate() {
-            let (cols, vals) = a.row(i);
-            *yi -= row_dot(cols, vals, x);
-        }
-    } else {
-        y.par_iter_mut().enumerate().with_min_len(256).for_each(|(i, yi)| {
-            let (cols, vals) = a.row(i);
-            *yi -= row_dot(cols, vals, x);
-        });
+    for (i, yi) in y.iter_mut().enumerate() {
+        let (cols, vals) = a.row(i);
+        *yi -= row_dot(cols, vals, x);
     }
     Ok(())
 }
 
-/// vector-CSR: `y ← y − A·x`, one task per row with dynamic scheduling
-/// (handles long rows gracefully).
-pub fn vector_csr<S: Scalar>(a: &Csr<S>, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
-    check_dims(a.nrows(), a.ncols(), x, y)?;
-    if a.nrows() < PAR_THRESHOLD {
-        for (i, yi) in y.iter_mut().enumerate() {
-            let (cols, vals) = a.row(i);
-            *yi -= row_dot(cols, vals, x);
-        }
-    } else {
-        // Fine-grained tasks: rayon steals rows dynamically, so a few very
-        // long rows do not stall a whole static chunk — the CPU analogue of
-        // giving each long row its own warp.
-        y.par_iter_mut().enumerate().with_max_len(16).for_each(|(i, yi)| {
-            let (cols, vals) = a.row(i);
-            *yi -= row_dot(cols, vals, x);
-        });
-    }
-    Ok(())
-}
-
-/// scalar-DCSR: `y ← y − A·x` over doubly-compressed storage; empty rows are
-/// never visited.
+/// Serial reference `y ← y − A·x` over doubly-compressed storage; empty
+/// rows are never visited.
 pub fn scalar_dcsr<S: Scalar>(a: &Dcsr<S>, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
     check_dims(a.nrows(), a.ncols(), x, y)?;
-    let lanes = a.n_lanes();
-    if lanes < PAR_THRESHOLD {
-        for k in 0..lanes {
-            let (row, cols, vals) = a.lane(k);
-            y[row] -= row_dot(cols, vals, x);
-        }
-    } else {
-        let deltas: Vec<(usize, S)> = (0..lanes)
-            .into_par_iter()
-            .with_min_len(256)
-            .map(|k| {
-                let (row, cols, vals) = a.lane(k);
-                (row, row_dot(cols, vals, x))
-            })
-            .collect();
-        for (row, d) in deltas {
-            y[row] -= d;
-        }
-    }
-    Ok(())
-}
-
-/// vector-DCSR: the long-row variant over doubly-compressed storage.
-pub fn vector_dcsr<S: Scalar>(a: &Dcsr<S>, x: &[S], y: &mut [S]) -> Result<(), MatrixError> {
-    check_dims(a.nrows(), a.ncols(), x, y)?;
-    let lanes = a.n_lanes();
-    if lanes < PAR_THRESHOLD {
-        for k in 0..lanes {
-            let (row, cols, vals) = a.lane(k);
-            y[row] -= row_dot(cols, vals, x);
-        }
-    } else {
-        let deltas: Vec<(usize, S)> = (0..lanes)
-            .into_par_iter()
-            .with_max_len(16)
-            .map(|k| {
-                let (row, cols, vals) = a.lane(k);
-                (row, row_dot(cols, vals, x))
-            })
-            .collect();
-        for (row, d) in deltas {
-            y[row] -= d;
-        }
+    for k in 0..a.n_lanes() {
+        let (row, cols, vals) = a.lane(k);
+        y[row] -= row_dot(cols, vals, x);
     }
     Ok(())
 }
@@ -286,18 +210,6 @@ fn chunk_count(plan: &SpmvPlan) -> u16 {
     }
 }
 
-/// Plain product `A·x` via the scalar-CSR kernel (convenience for tests and
-/// examples).
-pub fn apply<S: Scalar>(a: &Csr<S>, x: &[S]) -> Result<Vec<S>, MatrixError> {
-    let mut y = vec![S::ZERO; a.nrows()];
-    scalar_csr(a, x, &mut y)?;
-    // scalar_csr computes y − A·x; negate to get A·x.
-    for v in &mut y {
-        *v = -*v;
-    }
-    Ok(y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,35 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn all_four_kernels_agree_small() {
+    fn csr_and_dcsr_references_agree_small() {
         let (a, x, y0) = fixture(100, 0.3, 1.0, 71);
-        let expect = reference_update(&a, &x, &y0);
-        let d = a.to_dcsr();
         let base = run_scalar_csr(&a, &x, &y0);
-        assert!(max_rel_diff(&base, &expect) < 1e-12);
-        for (name, result) in [
-            ("vector_csr", run_vector_csr(&a, &x, &y0)),
-            ("scalar_dcsr", run_scalar_dcsr(&d, &x, &y0)),
-            ("vector_dcsr", run_vector_dcsr(&d, &x, &y0)),
-        ] {
-            assert_eq!(result, base, "{name} must be bit-identical to scalar_csr");
-        }
+        assert!(max_rel_diff(&base, &reference_update(&a, &x, &y0)) < 1e-12);
+        assert_eq!(run_scalar_dcsr(&a.to_dcsr(), &x, &y0), base);
     }
 
     #[test]
-    fn all_four_kernels_agree_large_parallel() {
+    fn csr_and_dcsr_references_agree_large() {
         let (a, x, y0) = fixture(5000, 0.5, 2.0, 72);
-        let expect = reference_update(&a, &x, &y0);
-        let d = a.to_dcsr();
         let base = run_scalar_csr(&a, &x, &y0);
-        assert!(max_rel_diff(&base, &expect) < 1e-10);
-        for (name, result) in [
-            ("vector_csr", run_vector_csr(&a, &x, &y0)),
-            ("scalar_dcsr", run_scalar_dcsr(&d, &x, &y0)),
-            ("vector_dcsr", run_vector_dcsr(&d, &x, &y0)),
-        ] {
-            assert_eq!(result, base, "{name} must be bit-identical to scalar_csr");
-        }
+        assert!(max_rel_diff(&base, &reference_update(&a, &x, &y0)) < 1e-10);
+        assert_eq!(run_scalar_dcsr(&a.to_dcsr(), &x, &y0), base);
     }
 
     #[test]
@@ -393,21 +289,9 @@ mod tests {
         y
     }
 
-    fn run_vector_csr(a: &Csr<f64>, x: &[f64], y0: &[f64]) -> Vec<f64> {
-        let mut y = y0.to_vec();
-        vector_csr(a, x, &mut y).unwrap();
-        y
-    }
-
     fn run_scalar_dcsr(a: &Dcsr<f64>, x: &[f64], y0: &[f64]) -> Vec<f64> {
         let mut y = y0.to_vec();
         scalar_dcsr(a, x, &mut y).unwrap();
-        y
-    }
-
-    fn run_vector_dcsr(a: &Dcsr<f64>, x: &[f64], y0: &[f64]) -> Vec<f64> {
-        let mut y = y0.to_vec();
-        vector_dcsr(a, x, &mut y).unwrap();
         y
     }
 
@@ -426,16 +310,10 @@ mod tests {
         let a = Csr::<f64>::identity(3);
         let mut y = vec![0.0; 3];
         assert!(scalar_csr(&a, &[1.0], &mut y).is_err());
-        assert!(vector_csr(&a, &[1.0; 3], &mut [0.0; 2]).is_err());
+        assert!(scalar_csr(&a, &[1.0; 3], &mut [0.0; 2]).is_err());
         let d = a.to_dcsr();
         assert!(scalar_dcsr(&d, &[1.0; 2], &mut y).is_err());
-        assert!(vector_dcsr(&d, &[1.0; 3], &mut [0.0; 4]).is_err());
-    }
-
-    #[test]
-    fn apply_computes_product() {
-        let a = Csr::<f64>::identity(4);
-        assert_eq!(apply(&a, &[1.0, 2.0, 3.0, 4.0]).unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert!(scalar_dcsr(&d, &[1.0; 3], &mut [0.0; 4]).is_err());
     }
 
     #[test]
@@ -463,7 +341,7 @@ mod tests {
         let mut y1 = vec![1.0f32; 200];
         let mut y2 = vec![1.0f32; 200];
         scalar_csr(&a, &x, &mut y1).unwrap();
-        vector_dcsr(&a.to_dcsr(), &x, &mut y2).unwrap();
+        scalar_dcsr(&a.to_dcsr(), &x, &mut y2).unwrap();
         assert_eq!(y1, y2);
     }
 }

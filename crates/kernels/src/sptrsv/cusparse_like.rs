@@ -23,17 +23,12 @@
 
 use crate::exec::{ExecPool, LevelSchedule, TuneParams};
 use crate::trace::{EventKind, SolveTrace};
-use rayon::prelude::*;
 use recblock_matrix::levelset::LevelSets;
 use recblock_matrix::{Csr, MatrixError, Scalar};
 
 /// Levels with at most this many rows are eligible for merging with their
 /// neighbours into a single launch.
 const MERGE_THRESHOLD: usize = 32;
-
-/// Rows below which a launch group is executed serially on the CPU (the
-/// historical default of [`TuneParams::par_rows`] for this solver).
-const PAR_GROUP_THRESHOLD: usize = 256;
 
 /// A launch group: a contiguous range of levels executed as one kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +60,9 @@ impl<S: Scalar> CusparseLikeSolver<S> {
     /// Rebuild a solver from a matrix and an already-computed level
     /// decomposition (the persistence path: the plan store saves the level
     /// arrays so reloading skips the analysis phase). The launch schedule
-    /// is re-derived from the levels — it is cheap (`O(nlevels)`).
+    /// is re-derived from the levels — it is cheap (`O(nlevels)`). Fails
+    /// with [`MatrixError::LevelOrder`] unless every off-diagonal entry's
+    /// column lies in an earlier level than its row.
     pub fn with_levels(l: Csr<S>, levels: LevelSets) -> Result<Self, MatrixError> {
         Self::with_levels_tuned(l, levels, TuneParams::default())
     }
@@ -80,13 +77,7 @@ impl<S: Scalar> CusparseLikeSolver<S> {
         levels: LevelSets,
         tune: TuneParams,
     ) -> Result<Self, MatrixError> {
-        if levels.n() != l.nrows() {
-            return Err(MatrixError::DimensionMismatch {
-                what: "cusparse-like levels",
-                expected: l.nrows(),
-                actual: levels.n(),
-            });
-        }
+        super::check_level_order(&l, &levels)?;
         let groups = build_groups(&levels);
         let sched = LevelSchedule::plan(&l, &levels, tune.merged_launch());
         Ok(CusparseLikeSolver { l, levels, groups, sched })
@@ -167,44 +158,6 @@ impl<S: Scalar> CusparseLikeSolver<S> {
         );
         Ok(())
     }
-
-    /// The pre-engine solve path (per-group rayon regions collecting
-    /// `(index, value)` pairs), kept verbatim for before/after benchmarking.
-    /// Not part of the public API surface.
-    #[doc(hidden)]
-    pub fn solve_legacy(&self, b: &[S]) -> Result<Vec<S>, MatrixError> {
-        let n = self.l.nrows();
-        if b.len() != n {
-            return Err(MatrixError::DimensionMismatch {
-                what: "sptrsv rhs",
-                expected: n,
-                actual: b.len(),
-            });
-        }
-        let mut x = vec![S::ZERO; n];
-        let l = &self.l;
-        for g in &self.groups {
-            let single_level = g.level_end - g.level_start == 1;
-            if single_level && g.rows >= PAR_GROUP_THRESHOLD {
-                // One big level: fully parallel launch.
-                let items = self.levels.level_items(g.level_start);
-                let solved: Vec<(usize, S)> =
-                    items.par_iter().map(|&i| (i, solve_row_legacy(l, b, &x, i))).collect();
-                for (i, xi) in solved {
-                    x[i] = xi;
-                }
-            } else {
-                // Merged small levels: process in level order within the
-                // launch (dependencies may cross the merged levels).
-                for lvl in g.level_start..g.level_end {
-                    for &i in self.levels.level_items(lvl) {
-                        x[i] = solve_row_legacy(l, b, &x, i);
-                    }
-                }
-            }
-        }
-        Ok(x)
-    }
 }
 
 /// Merge runs of small levels into launch groups.
@@ -230,23 +183,11 @@ fn build_groups(levels: &LevelSets) -> Vec<LaunchGroup> {
     groups
 }
 
-#[inline]
-fn solve_row_legacy<S: Scalar>(l: &Csr<S>, b: &[S], x: &[S], i: usize) -> S {
-    let (cols, vals) = l.row(i);
-    let last = cols.len() - 1;
-    let mut left_sum = S::ZERO;
-    for k in 0..last {
-        left_sum += vals[k] * x[cols[k]];
-    }
-    (b[i] - left_sum) / vals[last]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sptrsv::serial_csr;
     use recblock_matrix::generate;
-    use recblock_matrix::vector::max_rel_diff;
 
     fn check(l: Csr<f64>) {
         let n = l.nrows();
@@ -278,14 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_path_matches_engine_numerically() {
-        let l = generate::kkt_like::<f64>(4000, 1500, 3, 60);
-        let n = l.nrows();
-        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
-        let solver = CusparseLikeSolver::analyse(l).unwrap();
-        let x_new = solver.solve(&b).unwrap();
-        let x_old = solver.solve_legacy(&b).unwrap();
-        assert!(max_rel_diff(&x_new, &x_old) < 1e-12);
+    fn rejects_levels_out_of_dependency_order() {
+        let l = generate::chain::<f64>(600, 60);
+        let reversed = LevelSets::from_parts(vec![0, 600], (0..600).rev().collect()).unwrap();
+        assert_eq!(
+            CusparseLikeSolver::with_levels(l.clone(), reversed).unwrap_err(),
+            MatrixError::LevelOrder { row: 1, col: 0 }
+        );
+        let own = LevelSets::analyse(&l).unwrap();
+        assert!(CusparseLikeSolver::with_levels(l, own).is_ok());
     }
 
     #[test]

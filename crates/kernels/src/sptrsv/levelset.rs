@@ -12,16 +12,8 @@ use crate::exec::{
     ExecPool, LevelSchedule, ScheduleMode, TaskGraphStats, TaskSchedule, TuneParams,
 };
 use crate::trace::{EventKind, SolveTrace};
-use rayon::prelude::*;
 use recblock_matrix::levelset::LevelSets;
 use recblock_matrix::{Csr, MatrixError, Scalar};
-
-/// Below this many components a level is solved serially — the fork/join
-/// overhead dwarfs the work otherwise (the CPU analogue of the kernel-launch
-/// cost the GPU model charges per level). Retained as the historical default
-/// of [`TuneParams::par_rows`]; the legacy (unscheduled) path still uses it
-/// directly.
-const PAR_LEVEL_THRESHOLD: usize = 256;
 
 /// A level-scheduled triangular solver: analysis happens once in
 /// [`LevelSetSolver::new`], after which [`LevelSetSolver::solve`] may be
@@ -44,19 +36,21 @@ impl<S: Scalar> LevelSetSolver<S> {
     /// Algorithm 2) and plan its execution schedule with default tuning.
     pub fn new(l: Csr<S>) -> Result<Self, MatrixError> {
         let levels = LevelSets::analyse(&l)?;
-        Ok(Self::with_tune(l, levels, TuneParams::default()))
+        Self::with_tune(l, levels, TuneParams::default())
     }
 
     /// Build from an existing level decomposition (used by the blocked
     /// executor, which has already analysed the block during reordering).
-    pub fn with_levels(l: Csr<S>, levels: LevelSets) -> Self {
+    /// Fails with [`MatrixError::LevelOrder`] unless every off-diagonal
+    /// entry's column lies in an earlier level than its row.
+    pub fn with_levels(l: Csr<S>, levels: LevelSets) -> Result<Self, MatrixError> {
         Self::with_tune(l, levels, TuneParams::default())
     }
 
     /// As [`LevelSetSolver::with_levels`] with explicit scheduling
     /// thresholds (the blocked executor threads its [`TuneParams`] through;
     /// a reloaded plan passes the tuning it was stored with).
-    pub fn with_tune(l: Csr<S>, levels: LevelSets, tune: TuneParams) -> Self {
+    pub fn with_tune(l: Csr<S>, levels: LevelSets, tune: TuneParams) -> Result<Self, MatrixError> {
         Self::with_tune_threads(l, levels, tune, ExecPool::global().concurrency())
     }
 
@@ -68,7 +62,8 @@ impl<S: Scalar> LevelSetSolver<S> {
         levels: LevelSets,
         tune: TuneParams,
         nthreads: usize,
-    ) -> Self {
+    ) -> Result<Self, MatrixError> {
+        super::check_level_order(&l, &levels)?;
         let sched = LevelSchedule::plan(&l, &levels, tune);
         let p2p = match tune.schedule_mode {
             ScheduleMode::LevelSync => false,
@@ -78,7 +73,7 @@ impl<S: Scalar> LevelSetSolver<S> {
             ScheduleMode::Auto => sched.nparallel() >= tune.p2p_min_parallel,
         };
         let tasks = p2p.then(|| TaskSchedule::plan(&l, &levels, tune, nthreads));
-        LevelSetSolver { l, levels, sched, tasks }
+        Ok(LevelSetSolver { l, levels, sched, tasks })
     }
 
     /// The analysed level sets.
@@ -136,18 +131,7 @@ impl<S: Scalar> LevelSetSolver<S> {
     /// path: it executes the preplanned schedule on the global [`ExecPool`]
     /// and performs **zero heap allocations**.
     pub fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
-        self.solve_into_pooled(b, x, ExecPool::global())
-    }
-
-    /// As [`LevelSetSolver::solve_into`] on an explicit pool (tests and
-    /// embedders that keep their own).
-    pub fn solve_into_pooled(
-        &self,
-        b: &[S],
-        x: &mut [S],
-        pool: &ExecPool,
-    ) -> Result<(), MatrixError> {
-        self.solve_panel::<1>(b, x, pool)
+        self.solve_panel::<1>(b, x, ExecPool::global())
     }
 
     /// Solve `W` right-hand sides in one pass over the matrix: `b` and `x`
@@ -190,44 +174,6 @@ impl<S: Scalar> LevelSetSolver<S> {
         }
         Ok(())
     }
-
-    /// The pre-engine solve path (per-level rayon regions collecting
-    /// `(index, value)` pairs), kept verbatim for before/after benchmarking.
-    /// Not part of the public API surface.
-    #[doc(hidden)]
-    pub fn solve_into_unscheduled(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
-        self.check_buffers(b, x, 1)?;
-        let l = &self.l;
-        for lvl in 0..self.levels.nlevels() {
-            let items = self.levels.level_items(lvl);
-            if items.len() < PAR_LEVEL_THRESHOLD {
-                for &i in items {
-                    x[i] = solve_row_legacy(l, b, x, i);
-                }
-            } else {
-                let solved: Vec<(usize, S)> =
-                    items.par_iter().map(|&i| (i, solve_row_legacy(l, b, x, i))).collect();
-                for (i, xi) in solved {
-                    x[i] = xi;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Forward-substitute one row with the pre-engine sequential accumulation
-/// (legacy path only; the engine path uses [`crate::exec::row_dot`]).
-#[inline]
-fn solve_row_legacy<S: Scalar>(l: &Csr<S>, b: &[S], x: &[S], i: usize) -> S {
-    let (cols, vals) = l.row(i);
-    let last = cols.len() - 1;
-    debug_assert_eq!(cols[last], i, "diagonal must be last in row");
-    let mut left_sum = S::ZERO;
-    for k in 0..last {
-        left_sum += vals[k] * x[cols[k]];
-    }
-    (b[i] - left_sum) / vals[last]
 }
 
 #[cfg(test)]
@@ -273,16 +219,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_path_matches_engine_numerically() {
-        let l = generate::kkt_like::<f64>(3000, 1400, 3, 38);
-        let n = l.nrows();
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.29).cos()).collect();
-        let solver = LevelSetSolver::new(l).unwrap();
-        let mut x_new = vec![0.0; n];
-        let mut x_old = vec![0.0; n];
-        solver.solve_into(&b, &mut x_new).unwrap();
-        solver.solve_into_unscheduled(&b, &mut x_old).unwrap();
-        assert!(max_rel_diff(&x_new, &x_old) < 1e-12);
+    fn rejects_levels_out_of_dependency_order() {
+        // A 600-row chain squeezed into one level, rows reversed: every row
+        // depends on the row before it, which this "level" puts alongside.
+        let l = generate::chain::<f64>(600, 39);
+        let reversed = LevelSets::from_parts(vec![0, 600], (0..600).rev().collect()).unwrap();
+        assert_eq!(
+            LevelSetSolver::with_levels(l.clone(), reversed.clone()).unwrap_err(),
+            MatrixError::LevelOrder { row: 1, col: 0 }
+        );
+        let p2p = TuneParams { schedule_mode: ScheduleMode::PointToPoint, ..TuneParams::default() };
+        assert!(LevelSetSolver::with_tune_threads(l.clone(), reversed, p2p, 4).is_err());
+        // A level set for a different matrix is rejected the same way.
+        let diag = LevelSets::analyse(&generate::diagonal::<f64>(600, 40)).unwrap();
+        assert!(matches!(
+            LevelSetSolver::with_levels(l.clone(), diag),
+            Err(MatrixError::LevelOrder { .. })
+        ));
+        let own = LevelSets::analyse(&l).unwrap();
+        assert!(LevelSetSolver::with_levels(l, own).is_ok());
     }
 
     #[test]

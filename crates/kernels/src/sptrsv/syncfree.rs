@@ -2,12 +2,30 @@
 //! et al., Euro-Par '16).
 //!
 //! The matrix is held in CSC with the diagonal first in each column. A light
-//! preprocessing pass counts each component's in-degree (its row length,
-//! diagonal included). In the solve phase every component busy-waits until
-//! its in-degree has dropped to 1 (only the diagonal left), computes
-//! `x[i] = (b[i] − left_sum[i]) / d[i]`, then walks its column and notifies
-//! every dependent row with an atomic `left_sum` addition and an atomic
-//! in-degree decrement. One "kernel launch", no barriers.
+//! preprocessing pass gives each stored entry an update slot (below). In the
+//! solve phase every component busy-waits until all of its updates have
+//! arrived, computes `x[i] = (b[i] − left_sum[i]) / d[i]`, then walks its
+//! column and writes each dependent row's update. One "kernel launch", no
+//! barriers.
+//!
+//! ## Deterministic accumulation
+//!
+//! The GPU kernel adds into `left_sum` with `atomicAdd` in whatever order
+//! the producers arrive and counts the arrivals down in an in-degree
+//! array, so two solves of one system can differ in the last bits of any
+//! row with three or more dependencies. This port keeps the
+//! producer-driven dataflow but gives every update a slot of its own: the
+//! producer of column `j` writes `L[r][j]·x[j]` into the slot of entry
+//! `(r, j)`, and the consumer takes its slots in ascending column order,
+//! waiting for each, and subtracts them from `b[i]`. Every solve, at every
+//! thread count, therefore runs [`serial_csc`](super::serial_csc)'s column
+//! sweep operation for operation and returns its bits. The slots are the
+//! matrix entries in row-major order (diagonal last), and the diagonal's
+//! slot receives `x[i]` itself. Every slot starts unset
+//! ([`ScalarAtomic::unset`]), so one per-solve buffer of `nnz` values
+//! stands in for `left_sum`, `x` and the in-degrees: a component is ready
+//! when its slots are set and solved when its diagonal's is. Each entry's
+//! slot is computed once, when the solver is built.
 //!
 //! ## CPU port and deadlock freedom
 //!
@@ -21,19 +39,37 @@
 //! finished every smaller component it owns, so it is either at `i` or
 //! busy-waiting at `i` — and its wait condition is already satisfied. Hence
 //! `i` completes, and by induction the whole solve completes.
+//!
+//! ## Stalled workers
+//!
+//! Each thread waits on the others, so a thread that the operating system
+//! deschedules holds up every component that depends on its next one. With
+//! as many threads as cores, a process that takes a core for one scheduler
+//! slice would add that slice, milliseconds, to the solve. Solving a
+//! component twice writes the same values twice, though, so a waiting
+//! thread can step in: once no thread has moved on to another component
+//! for 100 µs, it solves every component from the position of the thread
+//! furthest behind, in ascending order, until that thread moves again. The
+//! owner skips what it finds solved. Either way the bits are the column
+//! sweep's.
 
 use recblock_matrix::scalar::ScalarAtomic;
 use recblock_matrix::{Csc, Csr, MatrixError, Scalar};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-/// A sync-free triangular solver. Preprocessing (CSC conversion + in-degree
-/// base counts) happens once in [`SyncFreeSolver::new`]; `solve` may then be
-/// called repeatedly.
+/// A sync-free triangular solver. Preprocessing (CSC conversion and update
+/// slots) happens once in [`SyncFreeSolver::new`]; `solve` may then be
+/// called repeatedly, and returns the same bits every time.
 #[derive(Debug, Clone)]
 pub struct SyncFreeSolver<S> {
     csc: Csc<S>,
-    /// In-degree of every component (row length incl. diagonal), precomputed.
-    in_degree_base: Vec<usize>,
+    /// Per stored entry, in CSC order: its slot, the entry's position in
+    /// row-major order (each row in ascending column order, diagonal last).
+    /// Row `i`'s slots thus end at its diagonal's — the first entry of
+    /// column `i` — and begin right after row `i − 1`'s; their count is
+    /// the component's in-degree.
+    slot: Vec<u32>,
     /// Number of worker threads used by `solve`.
     nthreads: usize,
 }
@@ -48,24 +84,39 @@ impl<S: Scalar> SyncFreeSolver<S> {
     /// Preprocess with an explicit worker-thread count.
     pub fn with_threads(l: &Csr<S>, nthreads: usize) -> Result<Self, MatrixError> {
         recblock_matrix::triangular::check_solvable_lower(l)?;
-        let in_degree_base: Vec<usize> = (0..l.nrows()).map(|i| l.row_nnz(i)).collect();
-        let csc = l.to_csc();
-        Ok(SyncFreeSolver { csc, in_degree_base, nthreads: nthreads.max(1) })
+        check_slot_range(l.nnz())?;
+        // An entry's CSR position is its slot.
+        let mut slot = vec![0u32; l.nnz()];
+        let csc = l.to_csc_with(|p, q| slot[q] = p as u32);
+        Ok(SyncFreeSolver { csc, slot, nthreads: nthreads.max(1) })
     }
 
     /// Build directly from CSC (diagonal first in each column) — the format
     /// Algorithm 3 is written against. The in-degree preprocessing pass
-    /// (`PREPROCESS-SYNCFREE`) scans all row indices.
+    /// (`PREPROCESS-SYNCFREE`) scans all row indices; a second scan, in
+    /// column order, hands each entry the next free slot of its row.
     pub fn from_csc(csc: Csc<S>, nthreads: usize) -> Result<Self, MatrixError> {
         if !csc.is_solvable_lower() {
             return Err(MatrixError::SingularDiagonal { row: 0 });
         }
-        let n = csc.nrows();
-        let mut in_degree_base = vec![0usize; n];
-        for &i in csc.row_idx() {
-            in_degree_base[i] += 1;
+        check_slot_range(csc.nnz())?;
+        let mut next = vec![0u32; csc.nrows()];
+        for &r in csc.row_idx() {
+            next[r] += 1;
         }
-        Ok(SyncFreeSolver { csc, in_degree_base, nthreads: nthreads.max(1) })
+        let mut start = 0;
+        for c in next.iter_mut() {
+            start += std::mem::replace(c, start);
+        }
+        let slot = csc
+            .row_idx()
+            .iter()
+            .map(|&r| {
+                next[r] += 1;
+                next[r] - 1
+            })
+            .collect();
+        Ok(SyncFreeSolver { csc, slot, nthreads: nthreads.max(1) })
     }
 
     /// The CSC matrix being solved.
@@ -92,137 +143,188 @@ impl<S: Scalar> SyncFreeSolver<S> {
             return Ok(Vec::new());
         }
 
-        let in_degree: Vec<AtomicUsize> =
-            self.in_degree_base.iter().map(|&d| AtomicUsize::new(d)).collect();
-        let left_sum: Vec<S::Atomic> = (0..n).map(|_| S::Atomic::new(S::ZERO)).collect();
-        let x: Vec<S::Atomic> = (0..n).map(|_| S::Atomic::new(S::ZERO)).collect();
-
-        let nthreads = self.nthreads.min(n);
-        let csc = &self.csc;
+        let run = Run::new(self, b);
         std::thread::scope(|scope| {
-            for t in 0..nthreads {
-                let in_degree = &in_degree;
-                let left_sum = &left_sum;
-                let x = &x;
-                scope.spawn(move || {
-                    // Static cyclic assignment in ascending order (see the
-                    // module docs for why this cannot deadlock).
-                    let mut i = t;
-                    while i < n {
-                        // Busy-wait until only the diagonal dependency
-                        // remains (Algorithm 3, lines 8–10).
-                        let mut spins = 0u32;
-                        while in_degree[i].load(Ordering::Acquire) != 1 {
-                            spins += 1;
-                            if spins & 0x3f == 0 {
-                                std::thread::yield_now();
-                            } else {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        let (rows, vals) = csc.col(i);
-                        // Diagonal first: x_i = (b_i − left_sum_i) / d_i.
-                        let xi = (b[i] - left_sum[i].load()) / vals[0];
-                        x[i].store(xi);
-                        // Notify dependents (lines 12–15).
-                        for k in 1..rows.len() {
-                            let r = rows[k];
-                            left_sum[r].fetch_add(vals[k] * xi);
-                            in_degree[r].fetch_sub(1, Ordering::AcqRel);
-                        }
-                        i += nthreads;
-                    }
-                });
+            for t in 0..run.pos.len() {
+                let run = &run;
+                scope.spawn(move || run.worker(t));
             }
         });
-
-        Ok(x.iter().map(|a| a.load()).collect())
+        Ok(run.solution())
     }
 }
 
-impl<S: Scalar> SyncFreeSolver<S> {
-    /// Fused multi-right-hand-side solve (the algorithm of Liu et al.'s
-    /// follow-up paper, "Fast Synchronization-Free Algorithms for Parallel
-    /// Sparse Triangular Solves with Multiple Right-Hand Sides"): the
-    /// dependency dataflow runs **once** — each component busy-waits once,
-    /// then computes and propagates all `k` columns — so the matrix and the
-    /// synchronisation cost are amortised over every right-hand side.
-    pub fn solve_multi(
-        &self,
-        b: &crate::sptrsm::MultiVector<S>,
-    ) -> Result<crate::sptrsm::MultiVector<S>, MatrixError> {
-        use crate::sptrsm::MultiVector;
-        let n = self.csc.ncols();
-        if b.n() != n {
-            return Err(MatrixError::DimensionMismatch {
-                what: "sptrsm rhs rows",
-                expected: n,
-                actual: b.n(),
-            });
-        }
-        let k = b.k();
-        if n == 0 || k == 0 {
-            return Ok(MultiVector::zeros(n, k));
-        }
+/// How long no worker may move on before a waiting worker takes over from
+/// the one furthest behind (module docs, *Stalled workers*).
+const TAKE_OVER_AFTER: Duration = Duration::from_micros(100);
 
-        let in_degree: Vec<AtomicUsize> =
-            self.in_degree_base.iter().map(|&d| AtomicUsize::new(d)).collect();
-        // Row-major k-wide accumulators and solutions: component i owns
-        // slots i*k..(i+1)*k.
-        let left_sum: Vec<S::Atomic> = (0..n * k).map(|_| S::Atomic::new(S::ZERO)).collect();
-        let x: Vec<S::Atomic> = (0..n * k).map(|_| S::Atomic::new(S::ZERO)).collect();
+/// A worker's position, on a cache line of its own.
+#[repr(align(64))]
+struct Pos(AtomicUsize);
 
-        let nthreads = self.nthreads.min(n);
-        let csc = &self.csc;
-        std::thread::scope(|scope| {
-            for t in 0..nthreads {
-                let in_degree = &in_degree;
-                let left_sum = &left_sum;
-                let x = &x;
-                let b = &b;
-                scope.spawn(move || {
-                    let mut i = t;
-                    while i < n {
-                        let mut spins = 0u32;
-                        while in_degree[i].load(Ordering::Acquire) != 1 {
-                            spins += 1;
-                            if spins & 0x3f == 0 {
-                                std::thread::yield_now();
-                            } else {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        let (rows, vals) = csc.col(i);
-                        let diag = vals[0];
-                        // Solve all k columns of component i at once.
-                        for c in 0..k {
-                            let xi = (b.get(i, c) - left_sum[i * k + c].load()) / diag;
-                            x[i * k + c].store(xi);
-                        }
-                        // One notification per dependent, k value updates.
-                        for kk in 1..rows.len() {
-                            let r = rows[kk];
-                            let v = vals[kk];
-                            for c in 0..k {
-                                left_sum[r * k + c].fetch_add(v * x[i * k + c].load());
-                            }
-                            in_degree[r].fetch_sub(1, Ordering::AcqRel);
-                        }
-                        i += nthreads;
-                    }
-                });
-            }
-        });
+/// The shared state of one solve.
+struct Run<'a, S: Scalar> {
+    csc: &'a Csc<S>,
+    slot: &'a [u32],
+    b: &'a [S],
+    /// One cell per slot, unset until its update (in a diagonal's slot,
+    /// the solved `x[i]`) is written.
+    upd: Vec<S::Atomic>,
+    /// Per worker, the component it is on. Every component of worker `t`
+    /// below `pos[t]` is solved; a finished worker holds `n`. Positions
+    /// are `Relaxed`: they only say where to look, and the slots carry the
+    /// data (`store` is `Release`, `try_load` is `Acquire`).
+    pos: Vec<Pos>,
+}
 
-        let mut out = MultiVector::zeros(n, k);
-        for c in 0..k {
-            let col = out.col_mut(c);
-            for i in 0..n {
-                col[i] = x[i * k + c].load();
-            }
+impl<'a, S: Scalar> Run<'a, S> {
+    fn new(solver: &'a SyncFreeSolver<S>, b: &'a [S]) -> Self {
+        let csc = &solver.csc;
+        let nthreads = solver.nthreads.min(csc.ncols());
+        Run {
+            csc,
+            slot: &solver.slot,
+            b,
+            upd: (0..csc.nnz()).map(|_| S::Atomic::unset()).collect(),
+            pos: (0..nthreads).map(|t| Pos(AtomicUsize::new(t))).collect(),
         }
-        Ok(out)
     }
+
+    /// `x`, read from the diagonals' slots once every worker is done.
+    fn solution(&self) -> Vec<S> {
+        (0..self.csc.ncols()).map(|i| self.upd[self.diag(i)].load()).collect()
+    }
+
+    /// Component `i`'s diagonal slot, the last of its row.
+    fn diag(&self, i: usize) -> usize {
+        self.slot[self.csc.col_ptr()[i]] as usize
+    }
+
+    /// Component `i`'s first slot.
+    fn first(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.diag(i - 1) + 1
+        }
+    }
+
+    fn solved(&self, i: usize) -> bool {
+        self.upd[self.diag(i)].try_load().is_some()
+    }
+
+    /// Worker `t`: components `t, t+P, t+2P, …` in ascending order, each
+    /// skipped if another worker has solved it already.
+    fn worker(&self, t: usize) {
+        let (n, step) = (self.csc.ncols(), self.pos.len());
+        let mut i = t;
+        while i < n {
+            self.pos[t].0.store(i, Ordering::Relaxed);
+            if self.solved(i) {
+                i += step;
+            } else if let Some(rest) = self.gather(i, true) {
+                self.finish(i, rest);
+                i += step;
+            } else {
+                i = self.take_over(t);
+            }
+        }
+        self.pos[t].0.store(n, Ordering::Relaxed);
+    }
+
+    /// Busy-wait for component `i`'s updates (Algorithm 3, lines 8–10) in
+    /// ascending column order, subtracting each from `b[i]` as it arrives.
+    /// With `watch`, give up and return `None` once no worker has moved on
+    /// for [`TAKE_OVER_AFTER`].
+    fn gather(&self, i: usize, watch: bool) -> Option<S> {
+        let mut rest = self.b[i];
+        let mut spins = 0u32;
+        let mut still: Option<(usize, Instant)> = None;
+        for u in &self.upd[self.first(i)..self.diag(i)] {
+            let v = loop {
+                if let Some(v) = u.try_load() {
+                    break v;
+                }
+                spins = spins.wrapping_add(1);
+                if spins & 0x3f != 0 {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                std::thread::yield_now();
+                if !watch || spins & 0x3ff != 0 {
+                    continue;
+                }
+                // Positions only grow, so an unchanged sum means that no
+                // worker has moved on since it was last read.
+                let moved: usize = self.pos.iter().map(|p| p.0.load(Ordering::Relaxed)).sum();
+                match still {
+                    Some((seen, since)) if seen == moved => {
+                        if since.elapsed() >= TAKE_OVER_AFTER {
+                            return None;
+                        }
+                    }
+                    _ => still = Some((moved, Instant::now())),
+                }
+            };
+            rest -= v;
+        }
+        Some(rest)
+    }
+
+    /// Solve component `i` from its gathered `rest = b[i] − left_sum[i]`:
+    /// write every dependent's update, then `x[i]`, which marks `i` solved.
+    /// Any worker solving `i` writes the same values, so solving a
+    /// component twice changes nothing.
+    fn finish(&self, i: usize, rest: S) {
+        let (rows, vals) = self.csc.col(i);
+        let xi = rest / vals[0];
+        let slots = &self.slot[self.csc.col_ptr()[i]..];
+        for k in 1..rows.len() {
+            self.upd[slots[k] as usize].store(vals[k] * xi);
+        }
+        self.upd[self.diag(i)].store(xi);
+    }
+
+    /// Worker `t` waited while no worker moved on: the one furthest behind
+    /// is not running. Solve every component from its position on, in
+    /// ascending order, until it moves again or the matrix ends; return
+    /// `t`'s next component.
+    fn take_over(&self, t: usize) -> usize {
+        let (n, step) = (self.csc.ncols(), self.pos.len());
+        let at = |u: usize| self.pos[u].0.load(Ordering::Relaxed);
+        // Each position read once: every component below the least is solved.
+        let (behind, from) =
+            (0..step).map(|u| (u, at(u))).min_by_key(|&(_, p)| p).unwrap_or((t, n));
+        let (mut r, mut next) = (from, at(t));
+        while r < n {
+            if !self.solved(r) {
+                // Every component below `r` is solved, so this only waits
+                // for their writes to show, and never gives up.
+                if let Some(rest) = self.gather(r, false) {
+                    self.finish(r, rest);
+                }
+            }
+            r += 1;
+            next = next.max(r + (t + step - r % step) % step);
+            self.pos[t].0.store(next, Ordering::Relaxed);
+            if at(behind) != from {
+                break;
+            }
+        }
+        next
+    }
+}
+
+/// Slots are `u32`: reject a matrix with more entries than that indexes.
+fn check_slot_range(nnz: usize) -> Result<(), MatrixError> {
+    if nnz > u32::MAX as usize {
+        return Err(MatrixError::DimensionMismatch {
+            what: "sync-free slots (u32)",
+            expected: u32::MAX as usize,
+            actual: nnz,
+        });
+    }
+    Ok(())
 }
 
 /// Default worker count: physical parallelism, capped to keep busy-wait
@@ -234,7 +336,7 @@ pub(crate) fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sptrsv::serial_csr;
+    use crate::sptrsv::{serial_csc, serial_csr};
     use recblock_matrix::generate;
     use recblock_matrix::vector::max_rel_diff;
 
@@ -244,7 +346,9 @@ mod tests {
         let reference = serial_csr(&l, &b).unwrap();
         let solver = SyncFreeSolver::with_threads(&l, nthreads).unwrap();
         let x = solver.solve(&b).unwrap();
-        // Atomic accumulation reorders additions; tolerance must allow for it.
+        // The column sweep subtracts one update at a time, not through the
+        // row walk's four-chain reduction, so the last bits may differ
+        // from the CSR reference.
         assert!(
             max_rel_diff(&x, &reference) < 1e-10,
             "nthreads={nthreads} diff={}",
@@ -330,46 +434,81 @@ mod tests {
     }
 
     #[test]
-    fn multi_rhs_matches_per_column() {
-        use crate::sptrsm::MultiVector;
-        let l = generate::layered::<f64>(900, 14, 2.0, generate::LayerShape::Uniform, 51);
-        let solver = SyncFreeSolver::with_threads(&l, 6).unwrap();
-        let k = 4;
-        let data: Vec<f64> = (0..900 * k).map(|i| ((i * 13 % 31) as f64) - 15.0).collect();
-        let b = MultiVector::from_columns(900, k, data).unwrap();
-        let fused = solver.solve_multi(&b).unwrap();
-        for j in 0..k {
-            let per_col = solver.solve(b.col(j)).unwrap();
-            assert!(
-                max_rel_diff(fused.col(j), &per_col) < 1e-10,
-                "column {j}: {}",
-                max_rel_diff(fused.col(j), &per_col)
-            );
+    fn every_thread_count_returns_the_column_sweep_bits() {
+        // Hub rows gather dozens of updates from every thread: added in
+        // arrival order, their low bits vary from solve to solve.
+        let hubs = generate::hub_power_law::<f64>(3000, 12, 3, 50, 51);
+        let kkt = generate::kkt_like::<f64>(3000, 1200, 4, 52);
+        for l in [hubs, kkt, generate::random_lower::<f64>(1000, 6.0, 53)] {
+            let n = l.nrows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let reference = serial_csc(&l.to_csc(), &b).unwrap();
+            for t in [1, 2, 3, 8] {
+                let from_csr = SyncFreeSolver::with_threads(&l, t).unwrap();
+                let from_csc = SyncFreeSolver::from_csc(l.to_csc(), t).unwrap();
+                for solver in [from_csr, from_csc] {
+                    for _ in 0..3 {
+                        let x = solver.solve(&b).unwrap();
+                        assert!(
+                            x.iter().zip(&reference).all(|(a, r)| a.to_bits() == r.to_bits()),
+                            "threads {t}: must be bit-identical to serial_csc"
+                        );
+                    }
+                }
+            }
         }
     }
 
-    #[test]
-    fn multi_rhs_power_law_under_contention() {
-        use crate::sptrsm::MultiVector;
-        let l = generate::hub_power_law::<f64>(1500, 8, 2, 40, 52);
-        let solver = SyncFreeSolver::with_threads(&l, 8).unwrap();
-        let k = 3;
-        let data: Vec<f64> = (0..1500 * k).map(|i| (i as f64 * 0.01).sin()).collect();
-        let b = MultiVector::from_columns(1500, k, data).unwrap();
-        let x = solver.solve_multi(&b).unwrap();
-        for j in 0..k {
-            let r = recblock_matrix::vector::residual_inf(&l, x.col(j), b.col(j)).unwrap();
-            assert!(r < 1e-10, "column {j} residual {r}");
-        }
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     #[test]
-    fn multi_rhs_dimension_checks() {
-        use crate::sptrsm::MultiVector;
-        let solver = SyncFreeSolver::new(&Csr::<f64>::identity(5)).unwrap();
-        assert!(solver.solve_multi(&MultiVector::<f64>::zeros(4, 2)).is_err());
-        let empty = solver.solve_multi(&MultiVector::<f64>::zeros(5, 0)).unwrap();
-        assert_eq!(empty.k(), 0);
+    fn a_stalled_worker_is_taken_over() {
+        let l = generate::grid2d::<f64>(30, 30, 54);
+        let b: Vec<f64> = (0..900).map(|i| (i as f64 * 0.37).sin()).collect();
+        let reference = serial_csc(&l.to_csc(), &b).unwrap();
+        let solver = SyncFreeSolver::with_threads(&l, 2).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Worker 1 of 2 does not run: worker 0 waits at component 2 for
+        // component 1, sees no worker move, and solves the rest itself.
+        // When worker 1 does run, it finds its components solved.
+        std::thread::spawn(move || {
+            let run = Run::new(&solver, &b);
+            run.worker(0);
+            let alone = run.solution();
+            run.worker(1);
+            tx.send((alone, run.solution())).unwrap();
+        });
+        let (alone, both) =
+            rx.recv_timeout(Duration::from_secs(30)).expect("worker 0 never took over");
+        assert!(same_bits(&alone, &reference));
+        assert!(same_bits(&both, &reference));
+    }
+
+    #[test]
+    fn a_late_worker_overlaps_the_take_over() {
+        // Worker 1 starts once worker 0 has taken over its components, so
+        // both may solve the same ones; the bits stay the column sweep's.
+        let l = generate::chain::<f64>(200_000, 55);
+        let b: Vec<f64> = (0..200_000).map(|i| (i as f64 * 0.11).cos()).collect();
+        let reference = serial_csc(&l.to_csc(), &b).unwrap();
+        let solver = SyncFreeSolver::with_threads(&l, 2).unwrap();
+        let run = Run::new(&solver, &b);
+        let took_over = std::thread::scope(|scope| {
+            scope.spawn(|| run.worker(0));
+            // Worker 0 gets past component 2 only by solving component 1.
+            let at = || run.pos[0].0.load(Ordering::Relaxed);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while at() < 1000 && Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+            let took_over = at() >= 1000;
+            run.worker(1);
+            took_over
+        });
+        assert!(took_over, "worker 0 never took over");
+        assert!(same_bits(&run.solution(), &reference));
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn steady_state_solves_do_not_allocate() {
 
     // --- level-set solver -------------------------------------------------
     let levels = LevelSets::analyse(&l).unwrap();
-    let ls = LevelSetSolver::with_tune(l.clone(), levels.clone(), tune);
+    let ls = LevelSetSolver::with_tune(l.clone(), levels.clone(), tune).unwrap();
     ls.solve_into(&b, &mut x).unwrap(); // warm-up: pool spin-up etc.
     let allocs = allocations_during(|| {
         for _ in 0..10 {
@@ -106,12 +106,13 @@ fn steady_state_solves_do_not_allocate() {
         levels.clone(),
         p2p_tune,
         p2p_pool.concurrency(),
-    );
+    )
+    .unwrap();
     assert_eq!(lp.schedule_mode(), "p2p", "p2p schedule must have compiled");
-    lp.solve_into_pooled(&b, &mut x, &p2p_pool).unwrap(); // warm-up
+    lp.solve_panel::<1>(&b, &mut x, &p2p_pool).unwrap(); // warm-up
     let allocs = allocations_during(|| {
         for _ in 0..10 {
-            lp.solve_into_pooled(&b, &mut x, &p2p_pool).unwrap();
+            lp.solve_panel::<1>(&b, &mut x, &p2p_pool).unwrap();
         }
     });
     assert_eq!(allocs, 0, "p2p LevelSetSolver::solve_into allocated in steady state");

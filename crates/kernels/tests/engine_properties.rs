@@ -54,12 +54,12 @@ fn check_p2p_bitwise<S: Scalar>(l: Csr<S>, tune: TuneParams, rhs_seed: u64) {
     let reference = serial_csr(&l, &b).unwrap();
     let levels = LevelSets::analyse(&l).unwrap();
     let pool = ExecPool::new(3);
-    let ls = LevelSetSolver::with_tune_threads(l, levels, tune, pool.concurrency());
+    let ls = LevelSetSolver::with_tune_threads(l, levels, tune, pool.concurrency()).unwrap();
     assert!(ls.task_stats().is_some(), "p2p mode must compile a task graph");
     let mut x = vec![S::ZERO; b.len()];
     for round in 0..3 {
         x.fill(S::ZERO);
-        ls.solve_into_pooled(&b, &mut x, &pool).unwrap();
+        ls.solve_panel::<1>(&b, &mut x, &pool).unwrap();
         assert_eq!(x, reference, "p2p vs serial, round {round}");
     }
 }
@@ -86,7 +86,7 @@ fn check_solvers_bitwise<S: Scalar>(l: Csr<S>, tune: TuneParams, rhs_seed: u64) 
     let reference = serial_csr(&l, &b).unwrap();
     let levels = LevelSets::analyse(&l).unwrap();
 
-    let ls = LevelSetSolver::with_tune(l.clone(), levels.clone(), tune);
+    let ls = LevelSetSolver::with_tune(l.clone(), levels.clone(), tune).unwrap();
     assert_eq!(ls.solve(&b).unwrap(), reference, "level-set vs serial");
 
     let cu = CusparseLikeSolver::with_levels_tuned(l, levels, tune).unwrap();
@@ -147,7 +147,7 @@ fn check_panels_bitwise<S: Scalar, E: PanelExec<S>>(
 struct LevelSet<'a, S>(&'a LevelSetSolver<S>, &'a ExecPool);
 impl<S: Scalar> PanelExec<S> for LevelSet<'_, S> {
     fn single(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
-        self.0.solve_into_pooled(b, x, self.1)
+        self.0.solve_panel::<1>(b, x, self.1)
     }
     fn panel<const W: usize>(&self, b: &[S], x: &mut [S]) -> Result<(), MatrixError> {
         self.0.solve_panel::<W>(b, x, self.1)
@@ -226,11 +226,13 @@ fn check_all_panel_executors<S: Scalar>(
     let levels = LevelSets::analyse(&l).unwrap();
 
     let sync = TuneParams { schedule_mode: ScheduleMode::LevelSync, ..tune };
-    let ls = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), sync, pool.concurrency());
+    let ls = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), sync, pool.concurrency())
+        .unwrap();
     check_panels_bitwise(&LevelSet(&ls, &pool), &b, &x0, "level-sync");
 
     let p2p = TuneParams { schedule_mode: ScheduleMode::PointToPoint, ..tune };
-    let lp = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), p2p, pool.concurrency());
+    let lp = LevelSetSolver::with_tune_threads(l.clone(), levels.clone(), p2p, pool.concurrency())
+        .unwrap();
     assert!(lp.task_stats().is_some(), "p2p mode must compile a task graph");
     check_panels_bitwise(&LevelSet(&lp, &pool), &b, &x0, "point-to-point");
 

@@ -97,7 +97,8 @@ fn p2p_solver(pool: &ExecPool) -> (recblock_matrix::Csr<f64>, LevelSetSolver<f64
         p2p_chunk_nnz: 128,
         ..TuneParams::default()
     };
-    let ls = LevelSetSolver::with_tune_threads(l.clone(), levels, tune, pool.concurrency());
+    let ls =
+        LevelSetSolver::with_tune_threads(l.clone(), levels, tune, pool.concurrency()).unwrap();
     assert_eq!(ls.schedule_mode(), "p2p");
     (l, ls)
 }
@@ -117,7 +118,7 @@ fn p2p_straggler_threads_delay_but_stay_bit_exact() {
     FaultPlan::new(53).with(FaultPoint::ExecSlow, Trigger::Prob(0.5)).install();
     for round in 0..4 {
         x.fill(0.0);
-        ls.solve_into_pooled(&b, &mut x, &pool).unwrap();
+        ls.solve_panel::<1>(&b, &mut x, &pool).unwrap();
         assert_eq!(x, reference, "straggler p2p solve diverged, round {round}");
     }
     FaultPlan::clear();
@@ -138,7 +139,7 @@ fn p2p_thread_panic_is_reraised_without_deadlock_and_solver_recovers() {
     // forever on a flag that will never be set; the dispatcher re-raises.
     FaultPlan::new(59).with(FaultPoint::ExecChunk, Trigger::OneShot).install();
     let r = catch_unwind(AssertUnwindSafe(|| {
-        ls.solve_into_pooled(&b, &mut x, &pool).unwrap();
+        ls.solve_panel::<1>(&b, &mut x, &pool).unwrap();
     }));
     FaultPlan::clear();
     assert!(r.is_err(), "the injected p2p thread panic re-raises on the dispatcher");
@@ -146,6 +147,6 @@ fn p2p_thread_panic_is_reraised_without_deadlock_and_solver_recovers() {
     // Epoch stamping makes the aborted solve's stale flags harmless: the
     // same solver and pool produce a bit-exact solve on the next call.
     x.fill(0.0);
-    ls.solve_into_pooled(&b, &mut x, &pool).unwrap();
+    ls.solve_panel::<1>(&b, &mut x, &pool).unwrap();
     assert_eq!(x, reference, "p2p solver unusable after a contained panic");
 }

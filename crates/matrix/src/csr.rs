@@ -187,6 +187,13 @@ impl<S: Scalar> Csr<S> {
     /// Transpose into CSC *views of the same matrix* — `O(nnz)` counting sort.
     /// The CSC shares the numerical content; `A` in CSR equals `A` in CSC.
     pub fn to_csc(&self) -> Csc<S> {
+        self.to_csc_with(|_, _| {})
+    }
+
+    /// [`Csr::to_csc`], calling `placed(p, q)` as the entry at CSR position
+    /// `p` lands at CSC position `q`, so per-entry data can follow the
+    /// entries without a second pass.
+    pub fn to_csc_with(&self, mut placed: impl FnMut(usize, usize)) -> Csc<S> {
         let mut col_counts = vec![0usize; self.ncols + 1];
         for &j in &self.col_idx {
             col_counts[j + 1] += 1;
@@ -201,10 +208,11 @@ impl<S: Scalar> Csr<S> {
         let mut next = col_counts;
         for i in 0..self.nrows {
             let (cols, v) = self.row(i);
-            for (&j, &val) in cols.iter().zip(v) {
+            for (k, (&j, &val)) in cols.iter().zip(v).enumerate() {
                 let dst = next[j];
                 row_idx[dst] = i;
                 vals[dst] = val;
+                placed(self.row_ptr[i] + k, dst);
                 next[j] += 1;
             }
         }
@@ -376,6 +384,17 @@ mod tests {
         tri_a.sort_by_key(|&(i, j, _)| (i, j));
         tri_c.sort_by_key(|&(i, j, _)| (i, j));
         assert_eq!(tri_a, tri_c);
+    }
+
+    #[test]
+    fn to_csc_with_reports_where_each_entry_lands() {
+        let a = small();
+        let mut moved = vec![None; a.nnz()];
+        let csc = a.to_csc_with(|p, q| moved[q] = Some(p));
+        assert_eq!(moved, [Some(0), Some(3), Some(2), Some(1), Some(4)]);
+        for (q, p) in moved.into_iter().enumerate() {
+            assert_eq!(csc.vals()[q], a.vals[p.unwrap()]);
+        }
     }
 
     #[test]

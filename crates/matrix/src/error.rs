@@ -44,6 +44,14 @@ pub enum MatrixError {
         /// Actual extent.
         actual: usize,
     },
+    /// A level decomposition is not an execution order for its matrix:
+    /// row `row` depends on column `col`, which is not in an earlier level.
+    LevelOrder {
+        /// Row of the violating entry.
+        row: usize,
+        /// Column of the violating entry.
+        col: usize,
+    },
     /// A permutation array is not a bijection on `0..n`.
     InvalidPermutation(&'static str),
     /// The same (row, column) coordinate appears more than once in the
@@ -79,6 +87,9 @@ impl fmt::Display for MatrixError {
             }
             MatrixError::DimensionMismatch { what, expected, actual } => {
                 write!(f, "dimension mismatch in {what}: expected {expected}, got {actual}")
+            }
+            MatrixError::LevelOrder { row, col } => {
+                write!(f, "entry ({row}, {col}) depends on a column not in an earlier level")
             }
             MatrixError::InvalidPermutation(what) => write!(f, "invalid permutation: {what}"),
             MatrixError::DuplicateEntry { row, col } => {

@@ -85,9 +85,9 @@ impl LevelSets {
     ///
     /// Validates that `level_ptr` is monotone and spans `items` exactly and
     /// that `items` enumerates `0..n` once each; `level_of` is recomputed.
-    /// The *topological* property (every dependency in an earlier level) is
-    /// the writer's responsibility — it is exactly what `analyse` produced
-    /// and file integrity is the storage layer's concern.
+    /// The *topological* property (every dependency in an earlier level)
+    /// needs the matrix, so the solvers that accept external levels check
+    /// it when they are built.
     pub fn from_parts(level_ptr: Vec<usize>, items: Vec<usize>) -> Result<Self, MatrixError> {
         if level_ptr.is_empty() || level_ptr[0] != 0 {
             return Err(MatrixError::MalformedPointer("level_ptr must start at 0"));

@@ -1,9 +1,8 @@
-//! Floating-point scalar abstraction (`f32`/`f64`) with atomic accumulation.
+//! Floating-point scalar abstraction (`f32`/`f64`) with atomic cells.
 //!
-//! The sync-free SpTRSV kernel (Algorithm 3 of the paper) accumulates partial
-//! sums into `left_sum` with atomic additions. CUDA provides `atomicAdd` for
-//! both precisions; on the CPU we reproduce it with a compare-and-swap loop
-//! over the bit representation, exposed through [`ScalarAtomic`].
+//! The sync-free SpTRSV kernels (Algorithm 3 of the paper and its CSR form)
+//! publish solved values and updates between threads through
+//! [`ScalarAtomic`] cells, which hold a float's bits in an atomic integer.
 
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -22,12 +21,22 @@ pub trait ScalarAtomic: Send + Sync {
     fn new(v: Self::Value) -> Self;
     /// Acquire-load the current value.
     fn load(&self) -> Self::Value;
-    /// Release-store `v`.
+    /// Release-store `v`. A NaN with the [`unset`](ScalarAtomic::unset)
+    /// bit pattern is stored as a quiet NaN, so a stored value never reads
+    /// as unset.
     fn store(&self, v: Self::Value);
-    /// Atomically add `v` to the cell (CAS loop — the CPU analogue of CUDA
-    /// `atomicAdd` on floats).
-    fn fetch_add(&self, v: Self::Value);
+    /// Create a cell that holds no value yet. It holds a signalling-NaN bit
+    /// pattern, which no arithmetic result has unless an input carried it.
+    fn unset() -> Self;
+    /// Acquire-load the value, or `None` while the cell is still
+    /// [`unset`](ScalarAtomic::unset).
+    fn try_load(&self) -> Option<Self::Value>;
 }
+
+/// Bits of an unset [`AtomicF32`]: a signalling NaN (quiet bit clear).
+const UNSET_F32: u32 = 0x7F80_0001;
+/// Bits of an unset [`AtomicF64`]: a signalling NaN (quiet bit clear).
+const UNSET_F64: u64 = 0x7FF0_0000_0000_0001;
 
 /// Atomic `f32` built on [`AtomicU32`].
 #[derive(Debug, Default)]
@@ -49,18 +58,18 @@ impl ScalarAtomic for AtomicF32 {
     }
 
     fn store(&self, v: f32) {
-        self.0.store(v.to_bits(), Ordering::Release);
+        let bits = v.to_bits();
+        let bits = if bits == UNSET_F32 { f32::NAN.to_bits() } else { bits };
+        self.0.store(bits, Ordering::Release);
     }
 
-    fn fetch_add(&self, v: f32) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f32::from_bits(cur) + v).to_bits();
-            match self.0.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+    fn unset() -> Self {
+        AtomicF32(AtomicU32::new(UNSET_F32))
+    }
+
+    fn try_load(&self) -> Option<f32> {
+        let bits = self.0.load(Ordering::Acquire);
+        (bits != UNSET_F32).then(|| f32::from_bits(bits))
     }
 }
 
@@ -76,18 +85,18 @@ impl ScalarAtomic for AtomicF64 {
     }
 
     fn store(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Release);
+        let bits = v.to_bits();
+        let bits = if bits == UNSET_F64 { f64::NAN.to_bits() } else { bits };
+        self.0.store(bits, Ordering::Release);
     }
 
-    fn fetch_add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+    fn unset() -> Self {
+        AtomicF64(AtomicU64::new(UNSET_F64))
+    }
+
+    fn try_load(&self) -> Option<f64> {
+        let bits = self.0.load(Ordering::Acquire);
+        (bits != UNSET_F64).then(|| f64::from_bits(bits))
     }
 }
 
@@ -191,7 +200,6 @@ impl Scalar for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn atomic_f64_roundtrip() {
@@ -210,31 +218,25 @@ mod tests {
     }
 
     #[test]
-    fn atomic_fetch_add_accumulates() {
-        let a = AtomicF64::new(0.0);
-        for _ in 0..100 {
-            a.fetch_add(0.25);
-        }
-        assert_eq!(a.load(), 25.0);
+    fn unset_cells_read_none_until_stored() {
+        let a = AtomicF64::unset();
+        assert_eq!(a.try_load(), None);
+        a.store(-0.0);
+        assert_eq!(a.try_load().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        let b = AtomicF32::unset();
+        assert_eq!(b.try_load(), None);
+        b.store(f32::NAN);
+        assert!(b.try_load().is_some_and(f32::is_nan));
     }
 
     #[test]
-    fn atomic_fetch_add_is_thread_safe() {
-        let a = Arc::new(AtomicF64::new(0.0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let a = Arc::clone(&a);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        a.fetch_add(1.0);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(a.load(), 80_000.0);
+    fn a_value_with_the_unset_bits_is_stored_as_a_quiet_nan() {
+        let a = AtomicF64::new(1.0);
+        a.store(f64::from_bits(UNSET_F64));
+        assert_eq!(a.try_load().map(f64::to_bits), Some(f64::NAN.to_bits()));
+        let b = AtomicF32::new(1.0);
+        b.store(f32::from_bits(UNSET_F32));
+        assert_eq!(b.try_load().map(f32::to_bits), Some(f32::NAN.to_bits()));
     }
 
     #[test]

@@ -505,16 +505,9 @@ fn get_tri_solver<S: Scalar>(
     Ok(match r.u8()? {
         TRI_DIAG => TriSolver::Diag(get_csr(r)?),
         TRI_LEVELSET => {
-            let l: Csr<S> = get_csr(r)?;
+            let l = get_csr(r)?;
             let levels = get_levels(r)?;
-            if levels.n() != l.nrows() {
-                return Err(StoreError::Malformed(format!(
-                    "level schedule covers {} rows, block has {}",
-                    levels.n(),
-                    l.nrows()
-                )));
-            }
-            TriSolver::LevelSet(LevelSetSolver::with_tune(l, levels, tune))
+            TriSolver::LevelSet(LevelSetSolver::with_tune(l, levels, tune)?)
         }
         TRI_SYNCFREE => {
             let csc = get_csc(r)?;

@@ -14,9 +14,11 @@
 
 use proptest::prelude::*;
 use recblock::blocked::{BlockedOptions, BlockedTri, DepthRule};
+use recblock::{Selector, TriKernel};
+use recblock_gpu_sim::cost::SpmvKind;
 use recblock_kernels::exec::{ScheduleMode, TuneParams};
-use recblock_matrix::{generate, Csr, Scalar};
-use recblock_store::{decode_plan, encode_plan, PlanKey};
+use recblock_matrix::{generate, Csr, MatrixError, Scalar};
+use recblock_store::{decode_plan, encode_plan, PlanKey, StoreError};
 
 /// Strategy: a random solvable lower-triangular matrix.
 fn arb_lower() -> impl Strategy<Value = Csr<f64>> {
@@ -49,29 +51,77 @@ fn arb_tune() -> impl Strategy<Value = TuneParams> {
         })
 }
 
+/// Offset of the body section's header in an encoded plan, and the body.
+fn body_section(bytes: &[u8]) -> (usize, &[u8]) {
+    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
+    let body_hdr = 12 + 16 + u64_at(16);
+    let body_len = u64_at(body_hdr + 4);
+    (body_hdr, &bytes[body_hdr + 16..body_hdr + 16 + body_len])
+}
+
+/// Re-frame an encoded plan around a replacement body: the header and meta
+/// section stay, the body section's length and CRC are recomputed, so the
+/// result passes every checksum.
+fn reseal(bytes: &[u8], body: &[u8]) -> Vec<u8> {
+    let (body_hdr, _) = body_section(bytes);
+    let mut out = bytes[..body_hdr + 4].to_vec();
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(&recblock_store::crc::crc32(body).to_le_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
 /// Synthesize a v2 plan file from v3 bytes: stamp the old version and strip
 /// the three scheduling-mode tune fields (u8 + 2 × u64) v3 appended after
 /// the four original tune words, then re-frame the body section. Mirrors
 /// the hand-built fixture in `store_roundtrip.rs`.
 fn synth_v2(bytes: &[u8]) -> Vec<u8> {
-    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
-    let meta_len = u64_at(16);
-    let body_hdr = 12 + 16 + meta_len;
-    let body_len = u64_at(body_hdr + 4);
-    let body = &bytes[body_hdr + 16..body_hdr + 16 + body_len];
+    let (_, body) = body_section(bytes);
     let nperm = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
     let cut = 8 + nperm * 8 + 4 * 8;
-    let mut v2_body = Vec::with_capacity(body_len - 17);
-    v2_body.extend_from_slice(&body[..cut]);
-    v2_body.extend_from_slice(&body[cut + 17..]);
-    let mut v2 = Vec::new();
-    v2.extend_from_slice(&bytes[..8]);
-    v2.extend_from_slice(&2u32.to_le_bytes());
-    v2.extend_from_slice(&bytes[12..body_hdr + 4]);
-    v2.extend_from_slice(&(v2_body.len() as u64).to_le_bytes());
-    v2.extend_from_slice(&recblock_store::crc::crc32(&v2_body).to_le_bytes());
-    v2.extend_from_slice(&v2_body);
+    let v2_body = [&body[..cut], &body[cut + 17..]].concat();
+    let mut v2 = reseal(bytes, &v2_body);
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
     v2
+}
+
+/// A length-prefixed `usize` array as the plan encoder writes it.
+fn words(v: &[usize]) -> Vec<u8> {
+    let mut out = (v.len() as u64).to_le_bytes().to_vec();
+    for &x in v {
+        out.extend_from_slice(&(x as u64).to_le_bytes());
+    }
+    out
+}
+
+/// A plan whose level-set block carries levels out of dependency order — a
+/// 600-row chain squeezed into one level, rows reversed — must fail to load
+/// with a typed error even when every checksum is valid: solving it would
+/// run dependent rows of one "level" concurrently.
+#[test]
+fn levels_out_of_dependency_order_fail_to_load() {
+    let l = generate::chain::<f64>(600, 7);
+    let opts = BlockedOptions {
+        depth: DepthRule::Fixed(0),
+        reorder: false,
+        selector: Selector::Fixed(TriKernel::LevelSet, SpmvKind::ScalarCsr),
+        ..BlockedOptions::default()
+    };
+    let plan = BlockedTri::build(&l, &opts).expect("solvable system");
+    let bytes = encode_plan(&plan, &PlanKey::of(&l), 0.0);
+    decode_plan::<f64>(&bytes).expect("clean bytes decode");
+
+    let (_, body) = body_section(&bytes);
+    let own =
+        [words(&(0..=600).collect::<Vec<_>>()), words(&(0..600).collect::<Vec<_>>())].concat();
+    let at = body.windows(own.len()).position(|w| w == own).expect("chain levels in body");
+    let reversed = [words(&[0, 600]), words(&(0..600).rev().collect::<Vec<_>>())].concat();
+    let patched = [&body[..at], &reversed, &body[at + own.len()..]].concat();
+    match decode_plan::<f64>(&reseal(&bytes, &patched)) {
+        Err(StoreError::Matrix(MatrixError::LevelOrder { row: 1, col: 0 })) => {}
+        Err(e) => panic!("expected a level-order error, got {e}"),
+        Ok(_) => panic!("a plan with levels out of dependency order loaded"),
+    }
 }
 
 fn rhs_for<S: Scalar>(n: usize, seed: u64) -> Vec<S> {
